@@ -1,8 +1,8 @@
 """Analysis-service benchmark: warm daemon requests vs the cold CLI path.
 
 The point of running ``safeflow serve`` at all is that a long-lived
-daemon amortizes front-end and summary work across requests through
-the shared on-disk caches. This benchmark measures that directly:
+daemon amortizes front-end work across requests through the shared
+on-disk IR cache and the in-memory program memo. This benchmark measures that directly:
 
 - *cold CLI*: a fresh ``SafeFlow`` with no cache directory, the same
   work ``safeflow analyze`` does on every invocation;
@@ -52,15 +52,14 @@ def test_warm_server_request_beats_cold_cli(tmp_path):
     files = [str(p) for p in system.core_files]
 
     def cold():
-        flow = SafeFlow(AnalysisConfig(summary_mode=True))
+        flow = SafeFlow(AnalysisConfig())
         report = flow.analyze_files(files, name=SYSTEM)
         assert report.render()
 
     cold_s = _best_of(cold)
 
     server = SafeFlowServer(
-        config=AnalysisConfig(summary_mode=True,
-                              cache_dir=str(tmp_path / "cache")),
+        config=AnalysisConfig(cache_dir=str(tmp_path / "cache")),
         port=0, workers=2,
     )
     server.start()

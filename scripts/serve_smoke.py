@@ -43,7 +43,7 @@ def main():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
-         "--port", "0", "--workers", "2", "--summaries",
+         "--port", "0", "--workers", "2",
          "--cache-dir", str(tmp / "cache"),
          "--metrics-json", str(metrics_path)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -64,7 +64,7 @@ def main():
             for key in SYSTEM_KEYS:
                 system = load_system(key)
                 files = [str(p) for p in system.core_files]
-                cold = SafeFlow(AnalysisConfig(summary_mode=True)) \
+                cold = SafeFlow(AnalysisConfig()) \
                     .analyze_files(files, name=key)
                 result = client.analyze(files=files, name=key)
                 if result["render"] != cold.render():

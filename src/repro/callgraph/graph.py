@@ -72,6 +72,13 @@ class CallGraph:
                     ):
                         if op not in taken:
                             taken.append(op)
+        # function names in global initializers escape into memory just
+        # like a stored operand; resolve by name, so a re-lowered body
+        # (watch-mode swap) is the one that gets called
+        for name in sorted(self.module.initializer_functions):
+            func = self.module.get_function(name)
+            if func is not None and func not in taken:
+                taken.append(func)
         return taken
 
     def _resolve(self, call: Call, address_taken: List[Function]) -> List[Function]:

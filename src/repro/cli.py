@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="skip phase 2 (P1-P3/A1/A2)")
     analyze.add_argument("--context-insensitive", action="store_true",
                          help="ablation: analyze each function once")
-    analyze.add_argument("--summaries", action="store_true",
-                         help="use ESP-style function summaries (§3.3)")
     analyze.add_argument("--paranoid", action="store_true",
                          help="treat every shared region as non-core")
     analyze.add_argument("--no-lint", action="store_true",
@@ -163,8 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-job timeout in seconds")
     batch.add_argument("--json", action="store_true",
                        help="machine-readable output")
-    batch.add_argument("--summaries", action="store_true",
-                       help="use ESP-style function summaries (§3.3)")
     batch.add_argument("--include", "-I", action="append", default=[],
                        help="include directory")
     batch.add_argument("--stats", action="store_true",
@@ -208,8 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bounded request queue capacity (default: 64)")
     serve.add_argument("--deadline", type=float, default=None, metavar="SEC",
                        help="default per-request deadline in seconds")
-    serve.add_argument("--summaries", action="store_true",
-                       help="use ESP-style function summaries (§3.3)")
     serve.add_argument("--include", "-I", action="append", default=[],
                        help="include directory")
     serve.add_argument("--metrics-json", metavar="FILE", default=None,
@@ -251,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--queue-size", type=int, default=64, metavar="N",
                        help="per-shard request queue capacity "
                             "(default: 64)")
-    fleet.add_argument("--summaries", action="store_true",
-                       help="use ESP-style function summaries (§3.3)")
     fleet.add_argument("--steal-threshold", type=int, default=2,
                        metavar="N",
                        help="home-shard load at which work stealing is "
@@ -296,8 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME",
                        help="run only this schedule (repeatable); one of "
                             "kill, quarantine, slow, corrupt-ir, "
-                            "torn-summary, serve-kill, kill-resume, "
-                            "watch-kill, tier-crash, overload")
+                            "serve-kill, kill-resume, watch-kill, "
+                            "tier-crash, overload")
     chaos.add_argument("--chaos-jobs", type=int, default=6, metavar="N",
                        help="generated programs in the workload "
                             "(default: 6)")
@@ -361,7 +353,7 @@ def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
                           "'object' keeps the reference interpreter "
                           "(reports are byte-identical)")
     sub.add_argument("--no-cache", action="store_true",
-                     help="disable the IR / summary caches")
+                     help="disable the on-disk caches")
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="cache directory (default: $SAFEFLOW_CACHE_DIR "
                           "or ~/.cache/safeflow)")
@@ -524,7 +516,6 @@ def cmd_analyze(args) -> int:
     config = AnalysisConfig(
         check_restrictions=not args.no_restrictions,
         context_sensitive=not args.context_insensitive,
-        summary_mode=args.summaries,
         unannotated_shm_is_core=not args.paranoid,
         lint_monitors=not args.no_lint,
         include_dirs=tuple(args.include),
@@ -650,7 +641,6 @@ def cmd_batch(args) -> int:
 
     tiers = _recover_tiers(args)
     config = AnalysisConfig(
-        summary_mode=args.summaries,
         include_dirs=tuple(args.include),
         cache_dir=_cache_dir(args),
         degraded_mode=args.keep_going or bool(tiers),
@@ -765,7 +755,6 @@ def cmd_serve(args) -> int:
 
     tiers = _recover_tiers(args)
     config = AnalysisConfig(
-        summary_mode=args.summaries,
         include_dirs=tuple(args.include),
         cache_dir=_cache_dir(args),
         degraded_mode=bool(tiers),
@@ -856,7 +845,6 @@ def cmd_fleet(args) -> int:
         cache_root=os.path.join(cache_dir, "fleet"),
         workers_per_shard=args.workers_per_shard,
         queue_size=args.queue_size,
-        summaries=args.summaries,
         kernel=args.kernel,
         backend="inprocess" if args.in_process else "process",
         steal_threshold=args.steal_threshold,

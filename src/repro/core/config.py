@@ -29,6 +29,8 @@ class AnalysisConfig:
     #: and substitute actual argument taints at call sites, instead of
     #: re-analyzing per argument-taint combination. Same reports,
     #: fewer analyses. Only meaningful with context_sensitive=True.
+    #: ``safeflow watch`` always sets it: the incremental segment store
+    #: records and replays summary bodies.
     summary_mode: bool = False
     #: propagate taint through control dependence (§3.4.1)
     track_control_dependence: bool = True
@@ -75,9 +77,6 @@ class AnalysisConfig:
     #: IR-cache content keys). Report-preserving, never part of a
     #: cache key.
     frontend_memo: bool = True
-    #: persist/replay value-flow summary bodies (only effective in
-    #: ``summary_mode``); see :mod:`repro.perf.summary_store`
-    summary_cache: bool = True
     #: sparse outer fixpoint in the value-flow engine: between outer
     #: iterations, re-analyze only the (function, context) bodies whose
     #: consulted memory cells (or merged inputs) changed, instead of
@@ -100,18 +99,6 @@ class AnalysisConfig:
     #: the opcode format version, so summaries recorded under one
     #: representation are never replayed into the other.
     kernel: str = "compiled"
-    #: bitset width of the compiled kernel's taint-source interner;
-    #: programs with more distinct taint sources than this fall back to
-    #: the object kernel. Report-preserving, hence never part of a
-    #: cache key.
-    kernel_width: int = 256
-    #: pause the cyclic garbage collector for the duration of each
-    #: pipeline run (one full collection afterwards). The analysis
-    #: allocates heavily and keeps almost all of it live until the
-    #: report is built, so mid-phase collections are pure overhead —
-    #: 20-30% of wall time on the bench workloads. Report-preserving,
-    #: never part of a cache key.
-    pause_gc: bool = True
     #: degraded-mode analysis (``--keep-going``): isolate frontend and
     #: annotation failures per translation unit / function / annotation
     #: as structured :class:`repro.degrade.DegradedUnit` records and

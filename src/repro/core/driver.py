@@ -18,11 +18,12 @@ The three phases follow §3.3 of the paper:
 
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
-on-disk cache, and in ``summary_mode`` value-flow summary bodies of
-unchanged functions are replayed instead of recomputed. Both paths are
-behavior-preserving — reports render byte-identical to a cold run —
-and observable through ``AnalysisStats.phase_timings`` and the cache
-hit/miss counters.
+on-disk cache. A ``safeflow watch`` session additionally hands
+:meth:`SafeFlow.analyze_program` its segment store, so value-flow
+summary bodies of unchanged functions are replayed instead of
+recomputed. Both paths are behavior-preserving — reports render
+byte-identical to a cold run — and observable through
+``AnalysisStats.phase_timings`` and the cache hit/miss counters.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class SafeFlow:
         """Analyze a single C source string (the core component)."""
         from ..perf.gcpause import gc_paused
 
-        with gc_paused(self.config.pause_gc):
+        with gc_paused():
             cache = self._ir_cache()
             started = time.perf_counter()
             memo, memo_key = self._program_memo(), None
@@ -94,7 +95,7 @@ class SafeFlow:
         """Analyze one or more C files as a whole program."""
         from ..perf.gcpause import gc_paused
 
-        with gc_paused(self.config.pause_gc):
+        with gc_paused():
             cache = self._ir_cache()
             started = time.perf_counter()
             memo, memo_key = self._program_memo(), None
@@ -206,23 +207,24 @@ class SafeFlow:
                         source_text: Optional[str] = None,
                         frontend_seconds: Optional[float] = None,
                         ir_cache=None, summary_store=None) -> AnalysisReport:
-        """``summary_store`` overrides the config-derived store: the
-        incremental session (:mod:`repro.incremental`) injects its
-        long-lived :class:`~repro.incremental.segments.SegmentStore`
-        here so successive verdicts share one on-disk segment map."""
+        """``summary_store`` is the incremental session's long-lived
+        :class:`~repro.incremental.segments.SegmentStore`
+        (:mod:`repro.incremental`): successive verdicts share one
+        on-disk segment map through it. Without one, nothing is
+        persisted."""
         from ..perf.gcpause import gc_paused
 
-        with gc_paused(self.config.pause_gc):
+        with gc_paused():
             return self._analyze_program(
                 program, name=name, source_text=source_text,
                 frontend_seconds=frontend_seconds, ir_cache=ir_cache,
-                summary_store=summary_store,
+                store=summary_store,
             )
 
     def _analyze_program(self, program: Program, name: str = "program",
                          source_text: Optional[str] = None,
                          frontend_seconds: Optional[float] = None,
-                         ir_cache=None, summary_store=None) -> AnalysisReport:
+                         ir_cache=None, store=None) -> AnalysisReport:
         from ..restrictions.checker import check_restrictions
         from ..shm.propagation import ShmAnalysis
         from ..valueflow.engine import ValueFlowAnalysis
@@ -276,26 +278,21 @@ class SafeFlow:
 
         # phase 3: value flow
         phase_start = time.perf_counter()
-        store = summary_store if summary_store is not None \
-            else self._summary_store()
         if store is not None:
-            # a session-shared (incremental) store outlives this call:
-            # report this run's contribution as deltas. A store the
-            # driver just created reports absolute counts — its load-
-            # time integrity evictions belong to this run.
-            shared = summary_store is not None
-            hits_before = store.hits if shared else 0
-            misses_before = store.misses if shared else 0
-            integrity_before = store.integrity_evictions if shared else 0
-            evictions_before = getattr(store, "evictions", 0) if shared else 0
+            # the session-shared store outlives this call: report this
+            # run's contribution as deltas
+            hits_before = store.hits
+            misses_before = store.misses
+            integrity_before = store.integrity_evictions
+            evictions_before = store.evictions
         vf = ValueFlowAnalysis(program, shm, self.config, summary_store=store)
         vf.run()
-        if getattr(vf, "replay_validation_failed", False):
+        if vf.replay_validation_failed:
             # optimistic (trusted) segment replay could not prove its
             # deferred reads against the converged state: rerun phase 3
             # with validating replay. Every mismatching record is then
             # rejected sweep-by-sweep and recomputed — byte-identical
-            # to a cold run by the summary-store argument.
+            # to a cold run (see repro.perf.summary_store).
             report.stats.segment_fallbacks += 1
             prior_trust = store.trust_replay
             store.trust_replay = False
@@ -315,10 +312,9 @@ class SafeFlow:
                 fname for fname, _, status in vf.summary_events
                 if status == "miss"
             })
-            report.stats.dirty_cone_size = len(
-                getattr(store, "last_cone", ()))
+            report.stats.dirty_cone_size = len(store.last_cone)
             report.stats.segment_evictions = (
-                getattr(store, "evictions", 0) - evictions_before)
+                store.evictions - evictions_before)
         report.stats.kernel_counters = dict(vf.kernel_counters)
         for key, value in taint_cache_stats().items():
             report.stats.kernel_counters[key] = value - taint_before.get(key, 0)
@@ -394,20 +390,6 @@ class SafeFlow:
         if cache_key is None:
             return None
         return f"{os.path.abspath(self.config.cache_dir)}|{cache_key}"
-
-    def _summary_store(self):
-        # summary bodies only exist in context-sensitive summary mode
-        if (not self.config.cache_dir or not self.config.summary_cache
-                or not self.config.summary_mode
-                or not self.config.context_sensitive):
-            return None
-        from ..perf.fingerprint import config_fingerprint
-        from ..perf.summary_store import SummaryStore
-
-        fp = config_fingerprint(self.config)[:16]
-        return SummaryStore(
-            os.path.join(self.config.cache_dir, f"summaries-{fp}.pkl")
-        )
 
     # ------------------------------------------------------------------
 

@@ -13,10 +13,9 @@ Two interchangeable backends implement the same synchronous contract
 
 A shard keeps its identity across restarts: the same
 :class:`ShardSpec` (and in particular the same ``cache_dir``) is
-reused, so a restarted shard comes back with its disk caches — IR,
-summaries, segments — already warm. Only the port may change
-(ephemeral bind), which the router re-reads from :attr:`address`
-after every (re)start.
+reused, so a restarted shard comes back with its IR disk cache
+already warm. Only the port may change (ephemeral bind), which the
+router re-reads from :attr:`address` after every (re)start.
 
 The supervision philosophy follows :mod:`repro.resilience`: a dead
 shard is an *event*, not an error — restart it, re-dispatch what it
@@ -52,7 +51,6 @@ class ShardSpec:
     cache_dir: str
     workers: int = 1
     queue_size: int = 64
-    summaries: bool = False
     kernel: str = "compiled"
     host: str = "127.0.0.1"
     #: False maps to `safeflow serve --in-process` (thread workers);
@@ -69,7 +67,6 @@ class ShardSpec:
 
     def config(self) -> AnalysisConfig:
         return AnalysisConfig(
-            summary_mode=self.summaries,
             cache_dir=self.cache_dir,
             kernel=self.kernel,
         )
@@ -148,8 +145,6 @@ class ProcessBackend:
             "--queue-size", str(spec.queue_size),
             "--kernel", spec.kernel,
         ]
-        if spec.summaries:
-            argv.append("--summaries")
         if not spec.use_processes:
             argv.append("--in-process")
         if spec.tenants_path:

@@ -8,7 +8,7 @@ forwards every ``analyze`` to one of N shard daemons:
 *Affinity.* The request's :func:`repro.fleet.hashring.routing_key`
 (job shape, the I/O-free sibling of ``job_fingerprint``) is looked up
 on a consistent-hash ring, so repeated jobs land on the shard whose
-IR/summary/segment caches already know them.
+IR cache and program memo already know them.
 
 *Backpressure + work stealing.* The router tracks its own in-flight
 count per shard and folds in each shard's health plane
@@ -75,7 +75,6 @@ class FleetConfig:
     cache_root: str = ".safeflow-fleet"
     workers_per_shard: int = 1
     queue_size: int = 64
-    summaries: bool = False
     kernel: str = "compiled"
     #: "process" spawns real `safeflow serve` subprocesses;
     #: "inprocess" embeds the daemons (fast tests)
@@ -204,7 +203,6 @@ class FleetRouter:
                     cache_dir=f"{self.config.cache_root}/shard-{i}",
                     workers=self.config.workers_per_shard,
                     queue_size=self.config.queue_size,
-                    summaries=self.config.summaries,
                     kernel=self.config.kernel,
                     use_processes=self.config.use_processes,
                     tenants_path=self.config.tenants_path,

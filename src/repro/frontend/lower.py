@@ -14,7 +14,7 @@ flow-sensitivity the value-flow phase relies on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from pycparser import c_ast
 
@@ -313,6 +313,18 @@ class _LoopContext:
         self.continue_block = continue_block
 
 
+def _initializer_names(node) -> Iterator[str]:
+    """Identifiers an initializer expression mentions (designators
+    like ``.field =`` excluded)."""
+    if isinstance(node, c_ast.ID):
+        yield node.name
+    elif isinstance(node, c_ast.NamedInitializer):
+        yield from _initializer_names(node.expr)
+    else:
+        for _, child in node.children():
+            yield from _initializer_names(child)
+
+
 class ModuleLowerer:
     """Lowers one or more parsed units into a single IR module."""
 
@@ -410,12 +422,17 @@ class ModuleLowerer:
         initializer = None
         if decl.init is not None:
             initializer = self._const_initializer(decl.init, types)
+            self.module.initializer_functions.update(
+                name for name in _initializer_names(decl.init)
+                if self.module.get_function(name) is not None)
         gv = GlobalVariable(
             decl.name, dtype, initializer, unit.origin(decl.coord)
         )
         self.module.add_global(gv)
 
     def _const_initializer(self, node, types: TypeBuilder):
+        # only constant data survives here; function names the
+        # initializer mentions are recorded by the caller
         try:
             if isinstance(node, c_ast.InitList):
                 return [self._const_initializer(e, types) for e in node.exprs]

@@ -4,19 +4,19 @@ A *segment* is one persisted summary/effects body run — the
 :class:`repro.perf.summary_store.BodyRecord` (reads, writes, warnings,
 failures, VFG edges, call dispatches, returned taint) plus its identity
 metadata: function, body kind, closure fingerprint, assumed-core
-context and serialized argument taints. Segments are keyed exactly like
-:class:`repro.perf.summary_store.SummaryStore` entries, so the
-value-flow engine drives both stores through one duck-typed protocol
-(``entry_key`` / ``lookup`` / ``stage`` / ``flush``).
+context and serialized argument taints. The segment store is the only
+body-record store: the value-flow engine records and replays summary
+bodies through it (``entry_key`` / ``lookup`` / ``stage`` / ``flush``)
+when a ``safeflow watch`` session hands it one.
 
-What the segment store adds over the summary store:
+What it provides:
 
-- **an append-only checksum-framed log**: every frame is length-
-  prefixed and sealed (:mod:`repro.perf.integrity`), appended with an
-  ``fsync``. A SIGKILL mid-write leaves a torn tail that the next open
-  truncates back to the last intact frame (counted as an integrity
-  eviction, never an error) — the PR 4 evict-and-recompute discipline.
-  The log is compacted in place once dead frames dominate;
+- **an append-only checksum-framed log** (:mod:`repro.perf.framelog`,
+  the same frames the batch journal uses), appended with an ``fsync``.
+  A SIGKILL mid-write leaves a torn tail that the next open truncates
+  back to the last intact frame (counted as an integrity eviction,
+  never an error) — evict and recompute. The log is compacted in place
+  once dead frames dominate;
 
 - **run lifecycle + dirty-cone invalidation** (:meth:`begin_run`): the
   store remembers the per-function closure fingerprints of the last
@@ -30,7 +30,7 @@ What the segment store adds over the summary store:
 
 - **trusted (optimistic) replay** (``trust_replay``): recorded cell
   reads reflect the final converged state of the producing run, so
-  validating them against mid-fixpoint state (the summary store's
+  validating them against mid-fixpoint state (the ``trust_replay=False``
   discipline) rejects nearly every record in the early sweeps and
   re-pays the whole fixpoint. With ``trust_replay`` the engine applies
   intact segments without sweep-time read validation, *defers* every
@@ -61,21 +61,20 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..perf.fingerprint import SCHEMA_VERSION
+from ..perf import framelog
+from ..perf.fingerprint import SCHEMA_VERSION, combine
+from ..perf.framelog import frame as _frame
 from ..perf.integrity import IntegrityError, seal, unseal
-from ..perf.summary_store import BodyRecord, SummaryStore
+from ..perf.summary_store import BodyRecord
 from ..resilience.faults import on_segment_flush
 from .depgraph import DependencyGraph
 
 #: bump on any change to the segment/frame layout; folded into
 #: ``config_fingerprint`` so a format rev namespaces every store
-SEGMENT_FORMAT_VERSION = 1
+SEGMENT_FORMAT_VERSION = 2
 
 LOG_NAME = "segments.log"
 DEPS_NAME = "deps.bin"
-
-_LEN_BYTES = 4
-_MAX_FRAME = 1 << 30
 
 
 @dataclass
@@ -88,11 +87,6 @@ class Segment:
     ctx: Tuple[str, ...]
     args: tuple
     record: BodyRecord
-
-
-def _frame(obj) -> bytes:
-    payload = seal(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    return len(payload).to_bytes(_LEN_BYTES, "big") + payload
 
 
 class SegmentStore:
@@ -148,36 +142,12 @@ class SegmentStore:
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as f:
-                raw = f.read()
-        except OSError:
-            return
-        frames: List[tuple] = []
-        offset = 0
-        torn = False
-        size = len(raw)
-        while offset < size:
-            end = offset + _LEN_BYTES
-            if end > size:
-                torn = True
-                break
-            length = int.from_bytes(raw[offset:end], "big")
-            if length <= 0 or length > _MAX_FRAME or end + length > size:
-                torn = True
-                break
-            try:
-                obj = pickle.loads(unseal(raw[end:end + length]))
-            except (IntegrityError, Exception):
-                torn = True
-                break
-            frames.append(obj)
-            offset = end + length
+        frames, good_offset, torn = framelog.read_frames(self.path)
         if torn:
             # a kill mid-append left a torn tail: keep the intact
             # prefix, truncate the rest, count one eviction
             self.integrity_evictions += 1
-            self._truncate_to(offset)
+            self._truncate_to(good_offset)
         if not frames:
             return
         header = frames[0]
@@ -217,8 +187,7 @@ class SegmentStore:
             if offset <= 0:
                 os.unlink(self.path)
             else:
-                with open(self.path, "r+b") as f:
-                    f.truncate(offset)
+                framelog.truncate(self.path, offset)
         except OSError:
             pass
 
@@ -284,10 +253,17 @@ class SegmentStore:
 
     def entry_key(self, func_name: str, kind: str, closure_fp: str,
                   ctx: Tuple[str, ...], args: tuple) -> str:
-        """Same digest as :meth:`SummaryStore.entry_key` (the protocols
-        are interchangeable); additionally captures the metadata that
-        turns a staged record into a full :class:`Segment`."""
-        key = SummaryStore.entry_key(func_name, kind, closure_fp, ctx, args)
+        """The body key: function, body kind, transitive closure
+        fingerprint, assumed-core context and serialized argument
+        taints. Also captures the metadata that turns a staged record
+        into a full :class:`Segment`."""
+        key = combine([
+            f"func={func_name}",
+            f"kind={kind}",
+            f"closure={closure_fp}",
+            f"ctx={ctx!r}",
+            f"args={args!r}",
+        ])
         self._pending_meta[key] = (func_name, kind, closure_fp, ctx, args)
         return key
 
@@ -377,9 +353,7 @@ class SegmentStore:
             os.makedirs(self.root, exist_ok=True)
             with open(self.path, "ab") as f:
                 on_segment_flush(f, blob)
-                f.write(blob)
-                f.flush()
-                os.fsync(f.fileno())
+                framelog.append(f, blob)
         except OSError:
             return
         self._disk_frames += len(frames)
@@ -413,9 +387,7 @@ class SegmentStore:
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as f:
-                    f.write(b"".join(frames))
-                    f.flush()
-                    os.fsync(f.fileno())
+                    framelog.append(f, b"".join(frames))
                 os.replace(tmp, self.path)
             except BaseException:
                 try:

@@ -191,10 +191,9 @@ class IncrementalSession:
     def _make_store(self, root: Optional[str]) -> Optional[SegmentStore]:
         config = self.config
         if root is None:
-            # segments replay summary bodies: same preconditions as the
-            # config-derived summary store
-            if (not config.cache_dir or not config.summary_cache
-                    or not config.summary_mode
+            # segments replay summary bodies, which only exist in
+            # context-sensitive summary mode
+            if (not config.cache_dir or not config.summary_mode
                     or not config.context_sensitive):
                 return None
             from ..perf.fingerprint import config_fingerprint
@@ -226,7 +225,7 @@ class IncrementalSession:
         edit allows, and run the full analysis pipeline over it."""
         from ..perf.gcpause import gc_paused
 
-        with gc_paused(self.config.pause_gc):
+        with gc_paused():
             frontend_started = perf_counter()
             changed, added, removed = self._refresh_units()
             self.last_changed = tuple(changed)
@@ -530,10 +529,10 @@ class WatchLoop:
     # -- gc pause across bursts ----------------------------------------
 
     def _enter_pause(self) -> None:
-        if self._pause is None and self.session.config.pause_gc:
+        if self._pause is None:
             from ..perf.gcpause import gc_paused
 
-            self._pause = gc_paused(True)
+            self._pause = gc_paused()
             self._pause.__enter__()
 
     def _release_pause(self) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import IRError
 from .cfg import BasicBlock
@@ -153,6 +153,10 @@ class Module:
         #: side tables filled by the front end
         self.function_annotations: Dict[str, list] = {}
         self.source_files: List[str] = []
+        #: functions named in global initializers (``fp = f;``,
+        #: ``table[] = {f, g};``): address-taken, although no
+        #: instruction operand mentions them
+        self.initializer_functions: Set[str] = set()
 
     def add_function(self, func: Function) -> Function:
         existing = self.functions.get(func.name)

@@ -6,9 +6,9 @@ sequential cold path):
 
 - :class:`IRCache` — on-disk cache of front-ended programs keyed by
   input content hashes + front-end config (:mod:`repro.perf.ircache`);
-- :class:`SummaryStore` — persistent ESP-summary records keyed by
-  transitive IR fingerprints, replayed with full validation
-  (:mod:`repro.perf.summary_store`);
+- :class:`BodyRecord` — the persistable form of one ESP-summary body
+  run, keyed by transitive IR fingerprints and replayed by the
+  incremental segment store (:mod:`repro.perf.summary_store`);
 - :func:`run_batch` — process-parallel fan-out over independent
   programs with crash supervision (:mod:`repro.perf.batch`,
   :mod:`repro.resilience`);
@@ -17,7 +17,7 @@ sequential cold path):
   recomputed instead of trusted (:mod:`repro.perf.integrity`);
 - :class:`BatchJournal` / :func:`run_journaled` — durable batch
   checkpoint/resume over an append-only, checksum-framed WAL
-  (:mod:`repro.perf.journal`).
+  (:mod:`repro.perf.journal`, framed by :mod:`repro.perf.framelog`).
 """
 
 from .batch import (
@@ -38,7 +38,7 @@ from .fingerprint import (
 from .integrity import IntegrityError, seal, unseal
 from .ircache import IRCache
 from .journal import BatchJournal, JournalReplay, job_fingerprint, run_journaled
-from .summary_store import BodyRecord, BodyRecorder, CellNamer, SummaryStore
+from .summary_store import BodyRecord, BodyRecorder, CellNamer
 
 __all__ = [
     "BatchJob",
@@ -53,7 +53,6 @@ __all__ = [
     "IntegrityError",
     "JournalReplay",
     "SCHEMA_VERSION",
-    "SummaryStore",
     "config_fingerprint",
     "file_digest",
     "function_fingerprint",

@@ -45,16 +45,17 @@ from ..ir.instructions import (
 )
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
-#: bump when the fingerprint composition changes; folded into every key
-SCHEMA_VERSION = 1
+#: bump when the fingerprint composition or the pickled IR layout
+#: changes; folded into every key
+SCHEMA_VERSION = 2
 
 #: AnalysisConfig fields that only steer the performance layer itself —
 #: never part of a semantic cache key. ``sparse_fixpoint`` and
 #: ``profile`` qualify because both are report-preserving: toggling
 #: them must not invalidate summaries recorded under the other setting.
 CACHE_ONLY_FIELDS = frozenset({
-    "cache_dir", "frontend_cache", "frontend_memo", "summary_cache",
-    "sparse_fixpoint", "profile", "kernel_width", "pause_gc",
+    "cache_dir", "frontend_cache", "frontend_memo", "sparse_fixpoint",
+    "profile",
 })
 
 

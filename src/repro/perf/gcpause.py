@@ -50,16 +50,9 @@ FULL_COLLECT_INTERVAL = 5.0
 
 
 @contextmanager
-def gc_paused(active: bool = True):
-    """Context manager: pause gc while any guarded region is active.
-
-    ``active=False`` makes it a no-op, so call sites can pass the
-    config knob straight through.
-    """
+def gc_paused():
+    """Context manager: pause gc while any guarded region is active."""
     global _DEPTH, _WE_DISABLED, _LAST_FULL
-    if not active:
-        yield
-        return
     with _LOCK:
         _DEPTH += 1
         if _DEPTH == 1:

@@ -9,24 +9,20 @@ fingerprints still match, and re-runs only the rest.
 Format
 ------
 
-The journal is a sequence of independently verifiable frames::
+The journal is a :mod:`repro.perf.framelog` log::
 
     FRAME_MAGIC (4 bytes) + big-endian u32 length + sealed payload
 
 where ``sealed`` is :func:`repro.perf.integrity.seal` over a pickled
-record dict — the same ``SFCK1`` checksum framing the on-disk caches
-use, so a torn write, bit rot, or a crash mid-append is detected
-before a single byte reaches ``pickle``. Records are either the
-header (``{"type": "header", "version", "config"}``) or a result
-(``{"type": "result", "name", "fingerprint", "result": BatchResult}``).
+record dict. Records are either the header (``{"type": "header",
+"version", "config"}``) or a result (``{"type": "result", "name",
+"fingerprint", "result": BatchResult}``).
 
-Recovery is truncate-and-continue: replay reads frames sequentially
-and stops at the first damaged one (short frame, bad magic, checksum
-mismatch, unpicklable payload); everything before it is intact by
-construction — appends are sequential and flushed+fsynced per record —
-so the damaged tail is truncated, counted, and the journal re-opened
-for append at the cut. A torn tail is *expected* after a crash, never
-an error.
+Recovery is truncate-and-continue: replay keeps every frame before the
+first damaged one (everything before it is intact by construction —
+appends are sequential and flushed+fsynced per record), truncates the
+damaged tail, counts it, and the journal re-opens for append at the
+cut. A torn tail is *expected* after a crash, never an error.
 
 Fingerprints
 ------------
@@ -43,25 +39,18 @@ from __future__ import annotations
 
 import io
 import os
-import pickle
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import JournalError
 from ..resilience import faults
+from . import framelog
 from .batch import BatchJob, BatchOutcome, BatchResult, run_batch
 from .fingerprint import combine, config_fingerprint, file_digest
-from .integrity import seal, unseal
+from .framelog import FRAME_MAGIC  # noqa: F401 (part of the format)
 
-#: per-frame magic — detects a seek into garbage before length parsing
-FRAME_MAGIC = b"SFJ1"
-_LEN = struct.Struct(">I")
 #: journal format version (header record); bump on layout changes
 VERSION = 1
-#: refuse absurd frame lengths (corrupt length field) without trying
-#: to allocate them
-_MAX_FRAME = 1 << 31
 
 
 def job_fingerprint(job: BatchJob, config) -> str:
@@ -108,45 +97,18 @@ class BatchJournal:
     def replay(self) -> JournalReplay:
         """Read every intact record; truncate a damaged tail in place."""
         replay = JournalReplay()
-        try:
-            fh = open(self.path, "rb")
-        except FileNotFoundError:
-            return replay
-        with fh:
-            while True:
-                offset = fh.tell()
-                head = fh.read(len(FRAME_MAGIC) + _LEN.size)
-                if not head:
-                    replay.good_offset = offset
-                    return replay  # clean end
-                if (len(head) < len(FRAME_MAGIC) + _LEN.size
-                        or head[:len(FRAME_MAGIC)] != FRAME_MAGIC):
-                    return self._damaged(replay, offset)
-                (length,) = _LEN.unpack(head[len(FRAME_MAGIC):])
-                if length > _MAX_FRAME:
-                    return self._damaged(replay, offset)
-                sealed = fh.read(length)
-                if len(sealed) < length:
-                    return self._damaged(replay, offset)
-                try:
-                    payload = unseal(sealed)
-                    record = pickle.loads(payload)
-                except Exception:  # IntegrityError, unpickling garbage
-                    return self._damaged(replay, offset)
-                self._absorb(replay, record)
-                replay.good_offset = fh.tell()
-
-    def _damaged(self, replay: JournalReplay, offset: int) -> JournalReplay:
-        """Truncate the journal at the last intact frame boundary."""
-        replay.truncated_records += 1
-        replay.good_offset = offset
-        try:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(offset)
-        except OSError as exc:
-            raise JournalError(
-                f"cannot truncate damaged journal tail of {self.path}: {exc}"
-            )
+        records, replay.good_offset, damaged = framelog.read_frames(
+            self.path)
+        for record in records:
+            self._absorb(replay, record)
+        if damaged:
+            replay.truncated_records += 1
+            try:
+                framelog.truncate(self.path, replay.good_offset)
+            except OSError as exc:
+                raise JournalError(
+                    f"cannot truncate damaged journal tail of "
+                    f"{self.path}: {exc}")
         return replay
 
     @staticmethod
@@ -199,12 +161,8 @@ class BatchJournal:
     def _write_record(self, record: dict) -> None:
         if self._fh is None:
             raise JournalError("journal is not open for appending")
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        sealed = seal(payload)
         try:
-            self._fh.write(FRAME_MAGIC + _LEN.pack(len(sealed)) + sealed)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            framelog.append(self._fh, framelog.frame(record))
         except OSError as exc:
             raise JournalError(
                 f"cannot append to journal {self.path}: {exc}")

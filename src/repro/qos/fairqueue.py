@@ -1,7 +1,7 @@
 """Weighted deficit-round-robin admission queue.
 
-Drop-in replacement for the single FIFO of
-:class:`repro.server.queue.RequestQueue` with per-tenant isolation:
+The daemon's bounded request queue, with per-tenant isolation (with
+no tenants declared it behaves as one FIFO):
 
 - *lanes*: each tenant's pending jobs wait in their own FIFO; the
   runner-facing :meth:`get` serves lanes by deficit round robin with
@@ -77,10 +77,9 @@ class _Lane:
 class FairQueue:
     """Bounded multi-tenant queue between handlers and runners.
 
-    API-compatible with :class:`repro.server.queue.RequestQueue`
-    (``put_nowait`` / ``get`` / ``close`` / ``depth`` / ``closed`` /
-    ``finished`` / ``capacity``) so the worker pool and daemon drain
-    logic are unchanged.
+    The worker pool and the daemon's drain logic drive it through
+    ``put_nowait`` / ``get`` / ``close`` / ``depth`` / ``closed`` /
+    ``finished`` / ``capacity``.
     """
 
     def __init__(self, capacity: int,

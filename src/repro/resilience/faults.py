@@ -3,10 +3,9 @@
 A :class:`FaultPlan` describes *what goes wrong and when* — kill the
 worker while it runs job k, stall it, raise an artificial allocation
 failure — plus the on-disk corruptions the chaos harness applies
-between passes (flip bytes in an IR-cache entry, tear a summary-store
-write). Plans travel through the ``SAFEFLOW_FAULTS`` environment
-variable as JSON so that fork- and spawn-started worker processes
-inherit them without any plumbing through the analysis API: production
+between passes (flip bytes in an IR-cache entry, truncate another).
+Plans travel through the ``SAFEFLOW_FAULTS`` environment variable as
+JSON so that fork- and spawn-started worker processes inherit them without any plumbing through the analysis API: production
 code paths call :func:`on_job_start` unconditionally, and with no plan
 in the environment that is a single dict lookup.
 
@@ -235,9 +234,9 @@ def on_segment_flush(fileobj, blob: bytes) -> None:
     _segment_flushes += 1
     if _segment_flushes != plan.kill_segment_flush:
         return
-    # a sealed frame is 4 length bytes + a digest-carrying payload far
-    # larger than 16 bytes, so cutting 16 bytes off the end always
-    # leaves a partial final frame
+    # a frame is an 8-byte magic+length header + a digest-carrying
+    # payload far larger than 16 bytes, so cutting 16 bytes off the end
+    # always leaves a partial final frame
     fileobj.write(blob[: max(1, len(blob) - 16)])
     fileobj.flush()
     os.fsync(fileobj.fileno())
@@ -278,22 +277,6 @@ def truncate_ir_entry(cache_dir: str) -> Optional[str]:
     if not names:
         return None
     path = os.path.join(directory, names[0])
-    size = os.path.getsize(path)
-    with open(path, "r+b") as f:
-        f.truncate(max(1, size // 2))
-    return path
-
-
-def tear_summary_store(cache_dir: str) -> Optional[str]:
-    """Tear the summary store mid-write (truncate to half); path/None."""
-    try:
-        names = sorted(n for n in os.listdir(cache_dir)
-                       if n.startswith("summaries-") and n.endswith(".pkl"))
-    except OSError:
-        return None
-    if not names:
-        return None
-    path = os.path.join(cache_dir, names[0])
     size = os.path.getsize(path)
     with open(path, "r+b") as f:
         f.truncate(max(1, size // 2))

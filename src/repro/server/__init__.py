@@ -2,14 +2,13 @@
 
 The paper positions SafeFlow as a check on every build of an evolving
 control system; this package turns the one-shot analyzer into a
-daemon so that warm state — the content-hashed ``IRCache`` and the
-closure-fingerprinted ``SummaryStore`` of :mod:`repro.perf` — is
-amortized across requests instead of across manual CLI invocations.
+daemon so that warm state — the content-hashed ``IRCache`` of :mod:`repro.perf` and
+the in-memory program memo — is amortized across requests instead of across manual CLI invocations.
 
 - :mod:`repro.server.protocol` — newline-delimited JSON-RPC framing
   and the service error-code space;
-- :mod:`repro.server.queue` — bounded admission queue and the
-  per-request state machine (deadlines, cancellation);
+- :mod:`repro.server.queue` — the per-request state machine
+  (deadlines, cancellation) and the admission errors;
 - :mod:`repro.server.pool` — process worker pool (fork → spawn →
   in-process fallback, shared with :mod:`repro.perf.batch`);
 - :mod:`repro.server.daemon` — :class:`SafeFlowServer`, the
@@ -29,7 +28,7 @@ from .client import (
 from .daemon import SafeFlowServer
 from .metrics import LatencyHistogram, ServerMetrics
 from .pool import WorkerPool
-from .queue import PendingJob, QueueClosedError, QueueFullError, RequestQueue
+from .queue import PendingJob, QueueClosedError, QueueFullError
 
 __all__ = [
     "ConnectionFailed",
@@ -37,7 +36,6 @@ __all__ = [
     "PendingJob",
     "QueueClosedError",
     "QueueFullError",
-    "RequestQueue",
     "RequestTimeout",
     "SafeFlowClient",
     "SafeFlowServer",

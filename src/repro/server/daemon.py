@@ -7,9 +7,9 @@ together:
   speaking the newline-delimited JSON-RPC of
   :mod:`repro.server.protocol` — one handler thread per connection,
   requests on a connection answered in order;
-- the bounded :class:`~repro.server.queue.RequestQueue` (admission
-  control: a full queue answers ``queue_full`` immediately instead of
-  queueing unboundedly);
+- the bounded :class:`~repro.qos.FairQueue` (admission control: a
+  full queue answers ``queue_full`` immediately instead of queueing
+  unboundedly; with no tenants declared it is a single FIFO);
 - the :class:`~repro.server.pool.WorkerPool` of analysis processes
   sharing the on-disk caches, which is what makes repeat requests
   warm;
@@ -54,7 +54,6 @@ _DEADLINE_GRACE = 10.0
 
 #: AnalysisConfig fields a request may override per-analysis
 _CONFIG_OVERRIDES = {
-    "summary_mode": bool,
     "check_restrictions": bool,
     "context_sensitive": bool,
     "track_control_dependence": bool,

@@ -109,8 +109,6 @@ class ServerMetrics:
         self._cache = {
             "frontend_hits": 0,
             "frontend_misses": 0,
-            "summary_hits": 0,
-            "summary_misses": 0,
             "integrity_evictions": 0,
         }
         self._resilience = {
@@ -219,10 +217,6 @@ class ServerMetrics:
                 stats.get("frontend_cache_hits", 0) or 0)
             self._cache["frontend_misses"] += int(
                 stats.get("frontend_cache_misses", 0) or 0)
-            self._cache["summary_hits"] += int(
-                stats.get("summary_cache_hits", 0) or 0)
-            self._cache["summary_misses"] += int(
-                stats.get("summary_cache_misses", 0) or 0)
             self._cache["integrity_evictions"] += int(
                 stats.get("cache_integrity_evictions", 0) or 0)
             units = int(stats.get("degraded_units", 0) or 0)

@@ -6,11 +6,10 @@ long-lived supervised process executor (fork where available, spawn
 otherwise), falling back to in-process execution when no process pool
 can be created at all. Worker processes are the isolation boundary —
 a crashing analysis (or a pycparser recursion blow-up) kills a worker,
-not the daemon — and they share the on-disk ``IRCache`` /
-``SummaryStore`` through ``config.cache_dir``, which is what makes the
-daemon *warm*: the second request for an unchanged translation unit
-skips the front end entirely, and in summary mode an edit to one
-function re-analyzes only that function and its transitive callers.
+not the daemon — and they share the on-disk ``IRCache`` through
+``config.cache_dir``, which is what makes the daemon *warm*: the
+second request for an unchanged translation unit skips the front end
+entirely.
 
 Crash isolation (:mod:`repro.resilience`): a worker death breaks the
 underlying ``ProcessPoolExecutor`` and fails every outstanding future;
@@ -26,7 +25,7 @@ the job spec and are applied by the worker entry point, so a runaway
 request degrades into ``resource_exhausted`` rather than an OOM kill.
 
 ``workers`` runner *threads* pull :class:`PendingJob` items off the
-:class:`RequestQueue` and drive each through the executor, polling in
+:class:`~repro.qos.FairQueue` and drive each through the executor, polling in
 short slices so cancellation and deadlines resolve within
 ``poll_interval`` even though a busy worker process cannot be
 interrupted: the runner abandons the future (the response goes out
@@ -52,6 +51,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
+from ..qos import FairQueue
 from ..resilience import CrashLedger, ResourceGuards, SupervisedExecutor, worker_harness
 from .protocol import (
     ANALYSIS_FAILED,
@@ -61,7 +61,6 @@ from .protocol import (
     RESOURCE_EXHAUSTED,
     WORKER_CRASHED,
 )
-from .queue import RequestQueue
 
 
 def _execute_spec(spec: Dict[str, Any], config) -> Dict[str, Any]:
@@ -130,7 +129,7 @@ def _spec_key(spec: Dict[str, Any]) -> str:
 class WorkerPool:
     """Runner threads + (optional) supervised process executor."""
 
-    def __init__(self, queue: RequestQueue, config,
+    def __init__(self, queue: FairQueue, config,
                  workers: Optional[int] = None,
                  use_processes: bool = True,
                  poll_interval: float = 0.05,

@@ -1,4 +1,4 @@
-"""Bounded admission queue and per-request state machine.
+"""Per-request state machine and admission errors.
 
 A :class:`PendingJob` is the server-side handle of one ``analyze``
 request: it moves ``QUEUED → RUNNING → DONE`` exactly once, carries
@@ -10,21 +10,16 @@ transitions are guarded so exactly one resolution wins — a job whose
 deadline fires while a cancel races it still produces exactly one
 response.
 
-:class:`RequestQueue` is the bounded buffer between the two:
-``put_nowait`` rejects above capacity (the daemon answers
-``queue_full`` instead of building an unbounded backlog — load
-shedding at admission is what keeps tail latency bounded), ``get``
-hands jobs to runners in FIFO order and silently discards jobs that
-were cancelled while still queued. ``close(drain=True)`` stops
-admission but lets runners empty the backlog: this is the graceful-
-shutdown half that guarantees every admitted request gets a response.
+The bounded buffer between handlers and runners is
+:class:`repro.qos.FairQueue`; it raises :class:`QueueFullError` above
+capacity (the daemon answers ``queue_full`` instead of building an
+unbounded backlog) and :class:`QueueClosedError` once draining.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, Optional, Tuple
 
 from .protocol import CANCELLED, SHUTTING_DOWN
@@ -35,7 +30,7 @@ DONE = "done"
 
 
 class QueueFullError(Exception):
-    """Raised by :meth:`RequestQueue.put_nowait` above capacity."""
+    """Raised when admitting into a full queue."""
 
 
 class QueueClosedError(Exception):
@@ -143,78 +138,3 @@ class PendingJob:
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self._finished.wait(timeout)
-
-
-class RequestQueue:
-    """Bounded FIFO of :class:`PendingJob` between handlers and runners."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._items: deque = deque()
-        self._closed = False
-        self._drain = True
-
-    # ------------------------------------------------------------------
-
-    def put_nowait(self, job: PendingJob) -> None:
-        with self._not_empty:
-            if self._closed:
-                raise QueueClosedError("queue is draining")
-            if len(self._items) >= self.capacity:
-                raise QueueFullError(
-                    f"queue full ({self.capacity} requests waiting)"
-                )
-            self._items.append(job)
-            self._not_empty.notify()
-
-    def get(self, timeout: float = 0.1) -> Optional[PendingJob]:
-        """Next live job, or None on timeout / closed-and-empty.
-
-        Jobs cancelled while queued are dropped here, never handed to
-        a runner. Use :meth:`finished` to tell the two None cases
-        apart.
-        """
-        with self._not_empty:
-            while True:
-                while self._items:
-                    job = self._items.popleft()
-                    if job.done or job.cancelled:
-                        continue
-                    return job
-                if self._closed:
-                    return None
-                if not self._not_empty.wait(timeout):
-                    return None
-
-    def close(self, drain: bool = True) -> None:
-        """Stop admission. ``drain=False`` also resolves every queued
-        job with ``shutting_down`` instead of letting runners finish
-        the backlog."""
-        with self._not_empty:
-            self._closed = True
-            self._drain = drain
-            if not drain:
-                while self._items:
-                    job = self._items.popleft()
-                    job.fail(SHUTTING_DOWN, "server shutting down")
-            self._not_empty.notify_all()
-
-    # ------------------------------------------------------------------
-
-    def depth(self) -> int:
-        with self._lock:
-            return sum(1 for j in self._items if not j.done)
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def finished(self) -> bool:
-        """Closed and emptied — runners may exit."""
-        with self._lock:
-            return self._closed and not self._items

@@ -28,11 +28,12 @@ few bits are set, which is the common case.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .taint import EMPTY_SOURCES, SAFE, Taint, TaintSource
 
-#: default interner capacity; ``AnalysisConfig.kernel_width`` overrides
+#: interner capacity: programs with more distinct taint sources than
+#: this fall back to the object kernel (report-preserving)
 DEFAULT_WIDTH = 256
 
 #: summary-mode parameter placeholders (must match the engine's
@@ -52,8 +53,8 @@ class RegionInterner:
         "_bit_of", "_source_of", "_enc_memo", "_dec_memo",
     )
 
-    def __init__(self, width: int = DEFAULT_WIDTH):
-        self.width = max(1, int(width))
+    def __init__(self, width: Optional[int] = None):
+        self.width = max(1, int(DEFAULT_WIDTH if width is None else width))
         self.data_mask = (1 << self.width) - 1
         #: AND-mask dropping every placeholder bit (both halves);
         #: recomputed whenever a placeholder source is interned

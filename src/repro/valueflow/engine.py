@@ -131,7 +131,7 @@ class _CellMap(dict):
 class _RecordingCellMap(_CellMap):
     """``_CellMap`` that additionally feeds the summary-body recorder.
 
-    Installed only when a summary store is active. ``get`` reports the
+    Installed only when a segment store is active. ``get`` reports the
     observed taint to the current body recorder (a record's *inputs*);
     ``__setitem__`` reports joins (its *effects*).
     """
@@ -142,8 +142,7 @@ class _RecordingCellMap(_CellMap):
         recorder = engine._active_recorder()
         if recorder is not None:
             recorder.note_read(engine._cell_key(cell), value)
-        elif engine._track_couplings and engine._body_stack \
-                and len(engine._body_stack[-1]) == 1:
+        elif engine._body_stack and len(engine._body_stack[-1]) == 1:
             # merged (context-budget) bodies have no recorder, but
             # their cell couplings must still reach the segment
             # store's dependency graph (dirty-cone soundness)
@@ -156,8 +155,7 @@ class _RecordingCellMap(_CellMap):
         recorder = engine._active_recorder()
         if recorder is not None:
             recorder.note_write(engine._cell_key(cell), value)
-        elif engine._track_couplings and engine._body_stack \
-                and len(engine._body_stack[-1]) == 1:
+        elif engine._body_stack and len(engine._body_stack[-1]) == 1:
             engine._note_merged_coupling(cell, read=False)
 
 
@@ -191,8 +189,8 @@ class ValueFlowAnalysis:
         self.module = program.module
         self.points_to = PointsToAnalysis(self.module, shm.callgraph).run()
 
-        #: optional :class:`repro.perf.SummaryStore`; when set, summary
-        #: bodies are recorded/replayed across processes
+        #: optional :class:`repro.incremental.segments.SegmentStore`;
+        #: when set, summary bodies are recorded/replayed across runs
         self.summary_store = summary_store
         #: (function, body kind, "hit"|"miss") per summary body, in
         #: execution order — lets tests pin down exact invalidation
@@ -204,8 +202,8 @@ class ValueFlowAnalysis:
         #: sweep-time read validation and re-check every replayed read
         #: against the *converged* state at the end of the run; on any
         #: mismatch the driver falls back to a validating rerun
-        self._trust_replay = bool(getattr(summary_store, "trust_replay",
-                                          False))
+        self._trust_replay = (summary_store is not None
+                              and summary_store.trust_replay)
         self._deferred_reads: List[Tuple] = []  # (cell, expected ser)
         self._deferred_seen: Set[Tuple] = set()
         #: merged-input seeds applied this run (function → the seed
@@ -214,7 +212,6 @@ class ValueFlowAnalysis:
         self.replay_validation_failed = False
         #: cell couplings of merged bodies (no recorder), reported to
         #: the segment store as dependency-graph stubs
-        self._track_couplings = hasattr(summary_store, "note_coupling")
         self._merged_coupling: Dict[str, Tuple[Set[str], Set[str]]] = {}
 
         #: sparse-fixpoint bookkeeping (see :meth:`run`). ``_sparse``
@@ -258,9 +255,7 @@ class ValueFlowAnalysis:
         if getattr(self.config, "kernel", "compiled") == "compiled":
             from .kernel import KernelState
 
-            self._kernel = KernelState(
-                self, width=getattr(self.config, "kernel_width", 256)
-            )
+            self._kernel = KernelState(self)
         self._value_node_memo: Dict[Tuple[Function, Value], VFGNode] = {}
 
         if summary_store is not None:
@@ -317,7 +312,7 @@ class ValueFlowAnalysis:
         out byte-identical.
         """
         store = self.summary_store
-        if store is not None and hasattr(store, "begin_run"):
+        if store is not None:
             # incremental invalidation: hand the store every defined
             # function's closure fingerprint so it can evict the dirty
             # cone (changed functions + transitive callers via the
@@ -364,10 +359,8 @@ class ValueFlowAnalysis:
             # driver reruns validating. Poison the held seeds too: the
             # fallback rerun re-harvests correct ones.
             self.replay_validation_failed = True
-            if hasattr(store, "discard_staged"):
-                store.discard_staged()
-            if hasattr(store, "hold_merged_seeds"):
-                store.hold_merged_seeds(None)
+            store.discard_staged()
+            store.hold_merged_seeds(None)
             return self
         self.contexts_analyzed = (
             self._reachable_contexts() if sparse else len(self._memo)
@@ -375,15 +368,12 @@ class ValueFlowAnalysis:
         if self._kernel is not None:
             self._kernel.publish_counters(self.kernel_counters)
         self._finalize()
-        if self.summary_store is not None:
-            if self._track_couplings:
-                for fname in sorted(self._merged_coupling):
-                    reads, writes = self._merged_coupling[fname]
-                    self.summary_store.note_coupling(fname, reads, writes)
-            self.summary_store.flush()
-            if hasattr(self.summary_store, "hold_merged_seeds"):
-                self.summary_store.hold_merged_seeds(
-                    self._harvest_merged_seeds())
+        if store is not None:
+            for fname in sorted(self._merged_coupling):
+                reads, writes = self._merged_coupling[fname]
+                store.note_coupling(fname, reads, writes)
+            store.flush()
+            store.hold_merged_seeds(self._harvest_merged_seeds())
         return self
 
     def _validate_deferred(self) -> bool:
@@ -428,11 +418,10 @@ class ValueFlowAnalysis:
     def _apply_merged_seeds(self, store) -> None:
         """Start the merged-input joins at the previous run's converged
         values, minus the dirty cone's downward call closure."""
-        seeds = getattr(store, "merged_seeds", None)
+        seeds = store.merged_seeds
         if not seeds or not self._sparse:
             return
-        drop = set(getattr(store, "last_cone", ()))
-        drop |= set(getattr(store, "last_seeds", ()))
+        drop = set(store.last_cone) | set(store.last_seeds)
         if drop:
             old_calls = seeds.get("calls", {})
             callgraph = self.shm.callgraph
@@ -942,7 +931,7 @@ class ValueFlowAnalysis:
         return self._substitute_summary(self._memo[summary_key], arg_taints)
 
     # ------------------------------------------------------------------
-    # persistent summary reuse (repro.perf.summary_store)
+    # persistent summary reuse (repro.incremental.segments)
     # ------------------------------------------------------------------
 
     def _active_recorder(self) -> Optional[BodyRecorder]:
@@ -964,7 +953,7 @@ class ValueFlowAnalysis:
         The last re-analysis of a body before the fixpoint converges
         sees already-converged cell state, so its joins are no-ops and
         never reach ``cell_taint.__setitem__`` — but the *record* of
-        that final run is what the summary/segment store keeps. Without
+        that final run is what the segment store keeps. Without
         this hook such records claim the body wrote nothing, and a
         fresh run replaying them can never reconstruct the converged
         state (trusted segment replay would fall back every time).
@@ -972,8 +961,7 @@ class ValueFlowAnalysis:
         recorder = self._active_recorder()
         if recorder is not None:
             recorder.note_write(self._cell_key(cell), value)
-        elif self._track_couplings and self._body_stack \
-                and len(self._body_stack[-1]) == 1:
+        elif self._body_stack and len(self._body_stack[-1]) == 1:
             self._note_merged_coupling(cell, read=False)
 
     def _note_merged_coupling(self, cell, read: bool) -> None:
@@ -1040,7 +1028,7 @@ class ValueFlowAnalysis:
             self._recorders.pop()
         if recorder.ok:
             store.stage(key, recorder.finish(ret))
-        elif hasattr(store, "note_coupling"):
+        else:
             # unpersistable body (unnamed cell): its named-cell
             # couplings still belong in the dependency graph
             reads, writes = recorder.coupling()
@@ -1508,9 +1496,9 @@ class ValueFlowAnalysis:
                             "data",
                         )
                 child = self._dispatch_call(target, ctx, padded)
+                if child:
+                    self._edge_call(func, inst, target)
                 result = result.join(child)
-            if result:
-                self._edge_call(func, inst, result)
             return result.join(block_ctl)
         # unknown external: the result may depend on its arguments and
         # on anything reachable through its pointer arguments
@@ -1889,9 +1877,12 @@ class ValueFlowAnalysis:
         node = VFGNode("cell", cell.label, "")
         self.vfg.add_edge(self._value_node(func, value), node, "data")
 
-    def _edge_call(self, func: Function, inst: Call, taint: Taint) -> None:
-        callee = inst.callee_name or "<indirect>"
-        node = VFGNode("value", f"return of {callee}", "")
+    def _edge_call(self, func: Function, inst: Call,
+                   target: Function) -> None:
+        """The tainted return of one resolved target flows into the
+        call's value (each target of an indirect call separately, so a
+        witness can walk into whichever one carried the taint)."""
+        node = VFGNode("value", f"return of {target.name}", "")
         self.vfg.add_edge(node, self._value_node(func, inst), "data")
 
     def _edge_sink(self, func: Function, inst: Instruction, taint: Taint,

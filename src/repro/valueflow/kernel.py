@@ -129,13 +129,13 @@ class KernelState:
     and observability counters. Owned by one :class:`ValueFlowAnalysis`;
     programs hold live IR/cell references, so they are process-local
     artifacts — cross-process reuse happens one level up, through the
-    summary store, whose fingerprints include the kernel mode and
+    segment store, whose fingerprints include the kernel mode and
     opcode format version."""
 
-    def __init__(self, engine, width: int):
+    def __init__(self, engine):
         assert engine._PLACEHOLDER_PREFIX == PLACEHOLDER_PREFIX
         self.engine = engine
-        self.interner = RegionInterner(width)
+        self.interner = RegionInterner()
         self.enabled = True
         self._programs: Dict[Tuple, Optional[CompiledBody]] = {}
         self.compile_seconds = 0.0
@@ -486,12 +486,13 @@ class KernelState:
                                        formals[i]))
                         n_sites += 1
                 compiled_targets.append(
-                    (target, len(formals), tuple(fedges))
+                    (target, len(formals), tuple(fedges), n_sites,
+                     VFGNode("value", f"return of {target.name}", ""))
                 )
+                n_sites += 1
             op = (OP_CALL_DIRECT, dslot, arg_slots,
-                  tuple(compiled_targets), n_sites,
-                  inst.callee_name or "<indirect>", inst)
-            return op, n_sites + 1, False
+                  tuple(compiled_targets), inst)
+            return op, n_sites, False
         entries = []
         for op in inst.operands:
             s = slot_get(op, -1)
@@ -644,12 +645,12 @@ class KernelState:
                                          VFGNode("cell", cell.label,
                                                  ""), "data")
                     elif code == OP_CALL_DIRECT:
-                        _, dst, arg_slots, targets, sk, callee, inst = op
+                        _, dst, arg_slots, targets, inst = op
                         args = [slots[s] if s >= 0 else 0
                                 for s in arg_slots]
                         nargs = len(args)
                         result = 0
-                        for target, nformals, fedges in targets:
+                        for target, nformals, fedges, rsk, rnode in targets:
                             for fsk, i, actual, tgt, formal in fedges:
                                 if args[i] and not emitted[fsk]:
                                     emitted[fsk] = 1
@@ -660,14 +661,13 @@ class KernelState:
                                 decode(args[i]) if i < nargs else SAFE
                                 for i in range(nformals)
                             )
-                            child = dispatch_call(target, ctx, padded)
-                            result |= encode(child)
-                        if result and not emitted[sk]:
-                            emitted[sk] = 1
-                            add_edge(
-                                VFGNode("value", f"return of {callee}",
-                                        ""),
-                                value_node(func, inst), "data")
+                            child = encode(
+                                dispatch_call(target, ctx, padded))
+                            if child and not emitted[rsk]:
+                                emitted[rsk] = 1
+                                add_edge(rnode, value_node(func, inst),
+                                         "data")
+                            result |= child
                         v = result | ctl
                         if slots[dst] != v:
                             slots[dst] = v

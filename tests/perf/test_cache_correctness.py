@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
 from repro.corpus import SYSTEM_KEYS, load_system
+from repro.incremental import IncrementalSession
 
 
 SIMPLE = r"""
@@ -71,7 +72,8 @@ def test_warm_equals_cold_on_corpus(tmp_path, key):
     assert cold.stats.frontend_cache_misses > 0
     assert warm.stats.frontend_cache_hits > 0
     assert warm.stats.frontend_cache_misses == 0
-    assert warm.stats.summary_cache_hits > 0
+    # summary persistence is confined to watch sessions
+    assert warm.stats.summary_cache_hits == 0
 
 
 def test_frontend_cache_hits_and_source_invalidation(tmp_path):
@@ -137,26 +139,31 @@ def test_frontend_cache_defines_invalidation(tmp_path):
 
 
 def test_summary_cache_config_flag_invalidation(tmp_path):
-    """Analysis flags are part of the summary key: flipping one must
+    """Analysis flags namespace the segment store: flipping one must
     miss; flipping it back must hit the original entries again."""
+    src = tmp_path / "prog.c"
+    src.write_text(SIMPLE)
     config = AnalysisConfig(summary_mode=True,
                             cache_dir=str(tmp_path / "cache"))
-    flow = SafeFlow(config)
 
-    cold = flow.analyze_source(SIMPLE, name="prog")
+    def verdict(config):
+        # a fresh session per verdict: segments come from disk
+        return IncrementalSession([str(src)], config=config,
+                                  name="prog").verdict()
+
+    cold = verdict(config)
     assert cold.stats.summary_cache_hits == 0
     assert cold.stats.summary_cache_misses > 0
-    warm = flow.analyze_source(SIMPLE, name="prog")
+    warm = verdict(config)
     assert warm.stats.summary_cache_hits > 0
     assert warm.stats.summary_cache_misses == 0
 
-    flipped = SafeFlow(dataclasses.replace(
-        config, track_control_dependence=False
-    )).analyze_source(SIMPLE, name="prog")
+    flipped = verdict(dataclasses.replace(
+        config, track_control_dependence=False))
     assert flipped.stats.summary_cache_hits == 0
     assert flipped.stats.summary_cache_misses > 0
 
-    back = flow.analyze_source(SIMPLE, name="prog")
+    back = verdict(config)
     assert back.stats.summary_cache_hits > 0
     assert back.stats.summary_cache_misses == 0
 
@@ -179,23 +186,20 @@ def test_corrupt_cache_files_fail_open(tmp_path):
     corrupted = flow.analyze_source(SIMPLE, name="prog")
     assert corrupted.render(verbose=True) == good.render(verbose=True)
     assert corrupted.stats.frontend_cache_hits == 0
-    assert corrupted.stats.summary_cache_hits == 0
 
     # the rewrite heals the cache: next run hits again
     healed = flow.analyze_source(SIMPLE, name="prog")
     assert healed.stats.frontend_cache_hits == 1
-    assert healed.stats.summary_cache_hits > 0
 
 
 def test_cache_control_fields_do_not_change_results(tmp_path):
-    """cache_dir / frontend_cache / summary_cache are excluded from all
-    fingerprints, so toggling them never alters the report."""
+    """cache_dir / frontend_cache are excluded from all fingerprints,
+    so toggling them never alters the report."""
     plain = SafeFlow(AnalysisConfig(summary_mode=True))
     cached = SafeFlow(AnalysisConfig(
         summary_mode=True,
         cache_dir=str(tmp_path / "cache"),
         frontend_cache=False,
-        summary_cache=False,
     ))
     a = plain.analyze_source(SIMPLE, name="prog")
     b = cached.analyze_source(SIMPLE, name="prog")

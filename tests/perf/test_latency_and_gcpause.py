@@ -133,7 +133,3 @@ class TestAmortizedGcPause:
             # inner exit must not collect; the outer one does
             assert collected == []
         assert len(collected) == 1
-
-    def test_inactive_is_a_no_op(self):
-        with gc_paused(active=False):
-            assert gc.isenabled()

@@ -2,12 +2,13 @@
 function and its transitive callers, nothing else.
 
 Uses the engine directly so ``ValueFlowAnalysis.summary_events`` (the
-ordered (function, kind, hit|miss) trace) is observable.
+ordered (function, kind, hit|miss) trace) is observable, over a
+segment store in validating-replay mode reopened from disk per run.
 """
 
 from repro.core.config import AnalysisConfig
 from repro.frontend import load_source
-from repro.perf.summary_store import SummaryStore
+from repro.incremental.segments import SegmentStore
 from repro.shm.propagation import ShmAnalysis
 from repro.valueflow.engine import ValueFlowAnalysis
 
@@ -51,7 +52,7 @@ def _run(source: str, store_path: str) -> ValueFlowAnalysis:
     config = AnalysisConfig(summary_mode=True)
     program = load_source(source, filename="prog.c")
     shm = ShmAnalysis(program, config).run()
-    store = SummaryStore(store_path)
+    store = SegmentStore(store_path, trust_replay=False)
     return ValueFlowAnalysis(program, shm, config,
                              summary_store=store).run()
 
@@ -67,7 +68,7 @@ def _hit(vf: ValueFlowAnalysis):
 
 
 def test_warm_run_replays_everything(tmp_path):
-    store_path = str(tmp_path / "summaries.pkl")
+    store_path = str(tmp_path / "segments")
     cold = _run(PROGRAM, store_path)
     assert _hit(cold) == set()
     assert {"main", "helper", "leaf", "other"} <= _missed(cold)
@@ -80,7 +81,7 @@ def test_warm_run_replays_everything(tmp_path):
 def test_one_line_edit_busts_exactly_the_affected_closure(tmp_path):
     """Editing ``leaf`` must re-analyze leaf + its transitive callers
     (helper, main) and *only* those; ``other`` keeps replaying."""
-    store_path = str(tmp_path / "summaries.pkl")
+    store_path = str(tmp_path / "segments")
     _run(PROGRAM, store_path)
 
     edited = _run(EDITED, store_path)
@@ -93,7 +94,7 @@ def test_one_line_edit_busts_exactly_the_affected_closure(tmp_path):
 
 
 def test_reports_identical_across_cold_and_warm(tmp_path):
-    store_path = str(tmp_path / "summaries.pkl")
+    store_path = str(tmp_path / "segments")
     cold = _run(PROGRAM, store_path)
     warm = _run(PROGRAM, store_path)
     assert warm.warnings == cold.warnings

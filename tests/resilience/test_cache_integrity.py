@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
+from repro.incremental import IncrementalSession
 from repro.perf.integrity import HEADER_LEN, MAGIC, IntegrityError, seal, unseal
 from repro.resilience import faults
 
@@ -96,16 +97,26 @@ class TestIRCacheSelfHeal:
 
 class TestSummaryStoreSelfHeal:
     def test_torn_store_is_evicted_and_recomputed(self, tmp_path):
+        src = tmp_path / "prog.c"
+        src.write_text(SIMPLE)
         config = AnalysisConfig(
             summary_mode=True, cache_dir=str(tmp_path / "cache"))
-        cold = SafeFlow(config).analyze_source(SIMPLE)
-        assert faults.tear_summary_store(config.cache_dir) is not None
-        healed = SafeFlow(config).analyze_source(SIMPLE)
+
+        def verdict():
+            # a fresh session per verdict: the segment log is reopened
+            return IncrementalSession([str(src)], config=config).verdict()
+
+        cold = verdict()
+        # tear the segment log mid-file (a partial-disk write)
+        (log,) = (tmp_path / "cache").glob("segments-*/segments.log")
+        with open(log, "r+b") as f:
+            f.truncate(max(1, os.path.getsize(log) // 2))
+        healed = verdict()
         assert healed.render(verbose=True) == cold.render(verbose=True)
         assert healed.stats.cache_integrity_evictions >= 1
         assert healed.stats.summary_cache_hits == 0
 
         # the store heals: a further run replays summaries again
-        warm = SafeFlow(config).analyze_source(SIMPLE)
+        warm = verdict()
         assert warm.render(verbose=True) == cold.render(verbose=True)
         assert warm.stats.summary_cache_hits >= 1

@@ -76,15 +76,6 @@ class TestCliFlags:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["warnings"] == 2
 
-    def test_summaries_flag(self, tmp_path, capsys):
-        path = self._write(tmp_path)
-        rc = cli_main(["analyze", path, "--json", "--summaries"])
-        import json
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["errors"] + \
-            payload["counts"]["false_positives"] == 1
-        assert rc == 1
-
     def test_no_lint_flag(self, tmp_path, capsys):
         vacuous = """
             typedef struct { double v; } R;

@@ -25,9 +25,10 @@ from repro.core.driver import SafeFlow
 from repro.corpus import generate_core, load_all
 from repro.frontend import load_source
 from repro.perf.fingerprint import config_fingerprint
+from repro.incremental.segments import SegmentStore
 from repro.perf.gcpause import gc_paused
-from repro.perf.summary_store import SummaryStore
 from repro.shm.propagation import ShmAnalysis
+from repro.valueflow import bitdomain
 from repro.valueflow.bitdomain import (
     DEFAULT_WIDTH,
     KernelOverflow,
@@ -132,7 +133,11 @@ class TestBitdomain:
         assert len(interner) == width
 
     def test_default_width_matches_config_default(self):
-        assert AnalysisConfig().kernel_width == DEFAULT_WIDTH
+        program = load_source(SUMMARY_PROGRAM, filename="prog.c")
+        config = AnalysisConfig(kernel="compiled")
+        vf = ValueFlowAnalysis(program, ShmAnalysis(program, config).run(),
+                               config)
+        assert vf._kernel.interner.width == DEFAULT_WIDTH
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +219,13 @@ class TestDifferentialParity:
             signatures.add(_signature(report))
         assert len(signatures) == 1
 
-    def test_width_cap_fallback_is_byte_identical(self):
+    def test_width_cap_fallback_is_byte_identical(self, monkeypatch):
         source = generate_core(**WORKLOADS[0]).source
         oracle = _signature(
             SafeFlow(AnalysisConfig(kernel="object"))
             .analyze_source(source, name="w"))
-        capped_cfg = AnalysisConfig(kernel="compiled", kernel_width=1)
+        monkeypatch.setattr(bitdomain, "DEFAULT_WIDTH", 1)
+        capped_cfg = AnalysisConfig(kernel="compiled")
         capped = SafeFlow(capped_cfg).analyze_source(source, name="w")
         assert _signature(capped) == oracle
         counters = capped.stats.kernel_counters
@@ -311,11 +317,14 @@ int main(void)
 """
 
 
-def _run_with_store(kernel: str, store_path: str) -> ValueFlowAnalysis:
+def _run_with_store(kernel: str, store_root) -> ValueFlowAnalysis:
+    """One validating-replay run over the segment store namespaced by
+    the config fingerprint, the way a watch session lays it out."""
     config = AnalysisConfig(summary_mode=True, kernel=kernel)
     program = load_source(SUMMARY_PROGRAM, filename="prog.c")
     shm = ShmAnalysis(program, config).run()
-    store = SummaryStore(store_path)
+    root = store_root / f"segments-{config_fingerprint(config)[:16]}"
+    store = SegmentStore(str(root), trust_replay=False)
     return ValueFlowAnalysis(program, shm, config,
                              summary_store=store).run()
 
@@ -346,13 +355,11 @@ class TestKernelFingerprinting:
 
     def test_report_preserving_knobs_are_cache_only(self):
         base = config_fingerprint(AnalysisConfig())
-        assert config_fingerprint(AnalysisConfig(kernel_width=7)) == base
-        assert config_fingerprint(AnalysisConfig(pause_gc=False)) == base
         assert config_fingerprint(
             AnalysisConfig(sparse_fixpoint=False)) == base
 
     def test_kernel_flip_never_replays_recorded_summaries(self, tmp_path):
-        store_path = str(tmp_path / "summaries.pkl")
+        store_path = tmp_path
         cold = _run_with_store("compiled", store_path)
         assert _outcomes(cold, "hit") == set()
         recorded = _outcomes(cold, "miss")
@@ -403,7 +410,3 @@ class TestGcPause:
             assert not gc.isenabled()  # not ours to re-enable
         finally:
             gc.enable()
-
-    def test_inactive_guard_is_a_no_op(self):
-        with gc_paused(active=False):
-            assert gc.isenabled()
