@@ -54,16 +54,18 @@ tracebacks.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .core.config import AnalysisConfig
 from .core.driver import SafeFlow
 from .core.results import AnalysisReport
 from .errors import SafeFlowError
+from .perf.gcpause import collector_off
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -511,7 +513,25 @@ def _report_json(report: AnalysisReport) -> str:
     return json.dumps(report.to_json(), indent=2)
 
 
+def _detach_stdout() -> None:
+    """Point stdout at ``/dev/null`` once its reader has gone away.
+
+    Whatever is still buffered then drains there, so neither a later
+    ``print`` nor the flush at exit raises ``BrokenPipeError`` again.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def cmd_analyze(args) -> int:
+    # the run's IR is garbage once the verdict is out: with the
+    # collector off, nothing spends time reclaiming it before exit
+    with collector_off():
+        return _analyze(args)
+
+
+def _analyze(args) -> int:
     tiers = _recover_tiers(args)
     config = AnalysisConfig(
         check_restrictions=not args.no_restrictions,
@@ -526,20 +546,26 @@ def cmd_analyze(args) -> int:
         kernel=args.kernel,
     )
     report = SafeFlow(config).analyze_files(args.files, name=args.name)
-    if args.json:
-        print(_report_json(report))
-    else:
-        print(report.render(verbose=args.verbose))
-        if args.stats:
-            print()
-            print(_render_stats(report))
-        if args.profile:
-            print()
-            print(_render_profile(report))
-    if args.dot and report.witness_graphs:
-        with open(args.dot, "w") as f:
+    dot = args.dot if report.witness_graphs else None
+    if dot:
+        with open(dot, "w") as f:
             f.write(report.witness_graphs[0])
-        print(f"\nvalue flow graph written to {args.dot}")
+    try:
+        if args.json:
+            print(_report_json(report))
+        else:
+            print(report.render(verbose=args.verbose))
+            if args.stats:
+                print()
+                print(_render_stats(report))
+            if args.profile:
+                print()
+                print(_render_profile(report))
+        if dot:
+            print(f"\nvalue flow graph written to {dot}")
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): the verdict stands
+        _detach_stdout()
     return 0 if report.passed else 1
 
 
@@ -1017,8 +1043,39 @@ def cmd_gen(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _dispatch(_build_parser().parse_args(argv))
+
+
+def console_main(argv: Optional[List[str]] = None) -> NoReturn:
+    """Process entry point: the ``safeflow`` script and ``python -m``.
+
+    Runs the command, then ends the process. A one-shot ``analyze``
+    process keeps the collector off from start to finish and freezes
+    its heap before exiting, so neither a closing collection nor
+    interpreter teardown walks the IR it is about to drop; ``atexit``
+    handlers and stream flushing still run. Every other command exits
+    as ``sys.exit(main())`` would. If the reader of stdout is gone by
+    the final flush (``| head``), stdout is pointed at ``/dev/null``
+    and the exit code is still the command's own, with no traceback;
+    ``analyze`` also survives a pipe that breaks mid-report.
+    """
+    args = _build_parser().parse_args(argv)
+    one_shot = args.command == "analyze"
+    if one_shot:
+        # off here too, so no collection runs between cmd_analyze
+        # restoring the setting and the freeze
+        gc.disable()
+    code = _dispatch(args)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _detach_stdout()
+    if one_shot:
+        gc.freeze()
+    sys.exit(code)
+
+
+def _dispatch(args) -> int:
     handlers = {
         "analyze": cmd_analyze,
         "watch": cmd_watch,
@@ -1039,4 +1096,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

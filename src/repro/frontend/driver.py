@@ -314,7 +314,7 @@ def _verify_recover(module: Module, degraded: List[DegradedUnit]) -> None:
         try:
             verify_function(func)
         except IRError as exc:
-            func.blocks = []
+            func.drop_body()
             degraded.append(DegradedUnit(
                 kind=KIND_FUNCTION,
                 name=func.name,

@@ -498,7 +498,7 @@ class ModuleLowerer:
                 getattr(funcdef, "coord", None))
             func = self.module.get_function(name)
             if func is not None:
-                func.blocks = []
+                func.drop_body()
             self.degraded.append(DegradedUnit(
                 kind=KIND_FUNCTION,
                 name=name,

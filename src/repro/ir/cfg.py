@@ -25,6 +25,9 @@ class BasicBlock:
             )
         inst.parent = self
         self.instructions.append(inst)
+        if inst.IS_TERMINATOR and self.parent is not None:
+            # new CFG edges: a memoized predecessor map is stale
+            self.parent.invalidate_analyses()
         return inst
 
     def insert_phi(self, phi: Phi) -> Phi:
@@ -61,9 +64,10 @@ class BasicBlock:
         return []
 
     def predecessors(self) -> List["BasicBlock"]:
+        """Blocks branching here, in the function's block order."""
         if self.parent is None:
             return []
-        return [b for b in self.parent.blocks if self in b.successors()]
+        return list(self.parent.predecessor_map().get(self, ()))
 
     def phis(self) -> Iterator[Phi]:
         for inst in self.instructions:

@@ -44,7 +44,7 @@ class DominatorTree:
         if self.post:
             if isinstance(block, _VirtualExit):
                 return self._exit_blocks
-            return [b for b in self.function.blocks if block in b.successors()]
+            return block.predecessors()
         return block.successors()
 
     def _preds(self, block) -> List:

@@ -40,7 +40,13 @@ class Function(Value):
         self._next_block += 1
         block = BasicBlock(name, self)
         self.blocks.append(block)
+        self.invalidate_analyses()
         return block
+
+    def drop_body(self) -> None:
+        """Demote to a declaration (a body that failed to lower/verify)."""
+        self.blocks = []
+        self.invalidate_analyses()
 
     def temp_name(self, hint: str = "t") -> str:
         name = f"{hint}.{self._next_temp}"
@@ -130,6 +136,15 @@ class Function(Value):
         """Drop memoized analyses after an IR mutation."""
         self._analysis_cache.clear()
 
+    def predecessor_map(self) -> Dict[BasicBlock, List[BasicBlock]]:
+        """Memoized block → predecessors, each list in block order.
+
+        One pass over the edges instead of a scan of every block per
+        query. Valid until the CFG changes: :meth:`new_block`,
+        appending a terminator and dropping blocks invalidate it.
+        """
+        return self.cached_analysis("preds", _predecessor_map)
+
     def uses(self) -> Dict[Value, List[Tuple[Instruction, int]]]:
         """Memoized :meth:`compute_uses` (valid until IR mutation)."""
         return self.cached_analysis("uses", Function.compute_uses)
@@ -140,6 +155,14 @@ class Function(Value):
     def __repr__(self) -> str:
         kind = "declare" if self.is_declaration else "define"
         return f"<{kind} {self.name} : {self.ftype!r}>"
+
+
+def _predecessor_map(function: Function) -> Dict[BasicBlock, List[BasicBlock]]:
+    preds: Dict[BasicBlock, List[BasicBlock]] = {}
+    for block in function.blocks:
+        for succ in block.successors():
+            preds.setdefault(succ, []).append(block)
+    return preds
 
 
 class Module:

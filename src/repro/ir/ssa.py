@@ -68,13 +68,13 @@ def promote_to_ssa(function: Function) -> int:
     # depend on set order (object hashes vary across processes, and
     # reports must be byte-reproducible for the repro.perf caches).
     block_order = {block: i for i, block in enumerate(function.blocks)}
+    store_blocks: Dict[Alloca, Set[BasicBlock]] = {a: set() for a in allocas}
+    for inst in function.instructions():
+        if isinstance(inst, Store) and inst.pointer in store_blocks:
+            store_blocks[inst.pointer].add(inst.parent)  # type: ignore[index]
     phis: Dict[Phi, Alloca] = {}
     for alloca in allocas:
-        def_blocks: Set[BasicBlock] = {
-            inst.parent
-            for inst in function.instructions()
-            if isinstance(inst, Store) and inst.pointer is alloca
-        }
+        def_blocks = store_blocks[alloca]
         placed: Set[BasicBlock] = set()
         work = sorted(def_blocks, key=lambda b: block_order.get(b, -1))
         while work:

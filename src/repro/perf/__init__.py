@@ -20,47 +20,41 @@ sequential cold path):
   (:mod:`repro.perf.journal`, framed by :mod:`repro.perf.framelog`).
 """
 
-from .batch import (
-    BatchJob,
-    BatchOutcome,
-    BatchResult,
-    resolve_mp_context,
-    run_batch,
-)
-from .fingerprint import (
-    SCHEMA_VERSION,
-    config_fingerprint,
-    file_digest,
-    function_fingerprint,
-    FlowFingerprints,
-    text_digest,
-)
-from .integrity import IntegrityError, seal, unseal
-from .ircache import IRCache
-from .journal import BatchJournal, JournalReplay, job_fingerprint, run_journaled
-from .summary_store import BodyRecord, BodyRecorder, CellNamer
+import importlib
 
-__all__ = [
-    "BatchJob",
-    "BatchJournal",
-    "BatchOutcome",
-    "BatchResult",
-    "BodyRecord",
-    "BodyRecorder",
-    "CellNamer",
-    "FlowFingerprints",
-    "IRCache",
-    "IntegrityError",
-    "JournalReplay",
-    "SCHEMA_VERSION",
-    "config_fingerprint",
-    "file_digest",
-    "function_fingerprint",
-    "job_fingerprint",
-    "resolve_mp_context",
-    "run_batch",
-    "run_journaled",
-    "seal",
-    "text_digest",
-    "unseal",
-]
+#: public name → defining submodule. Submodules load on first use, so
+#: importing one light module (``repro.perf.gcpause``) does not pull
+#: in the batch driver's ``multiprocessing`` and ``concurrent.futures``.
+_EXPORTS = {
+    "BatchJob": "batch",
+    "BatchOutcome": "batch",
+    "BatchResult": "batch",
+    "resolve_mp_context": "batch",
+    "run_batch": "batch",
+    "SCHEMA_VERSION": "fingerprint",
+    "config_fingerprint": "fingerprint",
+    "file_digest": "fingerprint",
+    "function_fingerprint": "fingerprint",
+    "FlowFingerprints": "fingerprint",
+    "text_digest": "fingerprint",
+    "IntegrityError": "integrity",
+    "seal": "integrity",
+    "unseal": "integrity",
+    "IRCache": "ircache",
+    "BatchJournal": "journal",
+    "JournalReplay": "journal",
+    "job_fingerprint": "journal",
+    "run_journaled": "journal",
+    "BodyRecord": "summary_store",
+    "BodyRecorder": "summary_store",
+    "CellNamer": "summary_store",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

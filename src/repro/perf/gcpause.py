@@ -26,8 +26,15 @@ disabled while paused, everything a run allocates sits in generation
 a cost proportional to the run, not the heap. Cycles whose members
 were already promoted (long-lived caches) are rarer and are caught by
 a periodic full collection every :data:`FULL_COLLECT_INTERVAL`
-seconds. One-shot CLI runs behave as before: the very first exit is
-always past the interval, so it performs the full collection.
+seconds. A process's very first exit is always past the interval, so
+it performs the full collection.
+
+A one-shot ``safeflow analyze`` process has no use for that first full
+collection: the IR it would free dies with the process a moment later.
+The command runs under :func:`collector_off`, so the guard finds a
+caller-disabled collector and skips its closing collection, and the
+process entry freezes the heap before exiting so interpreter teardown
+does not walk it either (:func:`repro.cli.console_main`).
 """
 
 from __future__ import annotations
@@ -78,3 +85,21 @@ def gc_paused():
                 gc.collect()
             else:
                 gc.collect(0)
+
+
+@contextmanager
+def collector_off():
+    """Context manager: the collector off, never a collection.
+
+    On exit the caller's setting comes back and the region's cyclic
+    garbage is left to the next automatic collection, or to process
+    exit when nothing runs after it. :func:`gc_paused` regions nested
+    inside see a caller-disabled collector and do not collect.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

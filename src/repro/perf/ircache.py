@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -208,6 +207,8 @@ class IRCache:
             return False
         try:
             os.makedirs(self.directory, exist_ok=True)
+            import tempfile  # only a cache write needs it
+
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as f:

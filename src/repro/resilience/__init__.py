@@ -24,6 +24,10 @@ supervision layer shared by the parallel batch driver
 job in: it fires scheduled faults, applies rlimits (only inside a real
 worker process — rlimits are irreversible), and arms the thread-local
 analysis deadline.
+
+The supervisor is imported on first use: a one-shot analysis needs
+only the fault hooks and the deadline, and ``concurrent.futures`` is a
+noticeable share of ``import repro.cli``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,14 @@ from typing import Optional
 
 from . import faults
 from .guards import ResourceGuards, apply_rlimits, check_deadline, deadline_scope
-from .supervisor import CrashLedger, SupervisedExecutor
+
+
+def __getattr__(name: str):
+    if name in ("CrashLedger", "SupervisedExecutor"):
+        from . import supervisor
+
+        return getattr(supervisor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @contextmanager

@@ -29,7 +29,6 @@ to test.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import time
@@ -134,6 +133,8 @@ class activate:
 
 def in_worker() -> bool:
     """True inside a multiprocessing worker (fork or spawn)."""
+    import multiprocessing  # not at module level: it imports socket
+
     return multiprocessing.parent_process() is not None
 
 
