@@ -11,18 +11,25 @@ and its on-disk segment store:
   store populated (best of N fresh sessions);
 - ``noop``  — a verdict with nothing changed: every segment replays,
   zero functions re-analyzed;
-- ``edit``  — one filler-function body edit: the surgical unit swap
-  re-lowers a single unit and the value-flow phase re-analyzes only
-  the dirty cone (recorded, and asserted == the edited functions).
+- ``edit``  — one filler-function body edit: the patch re-lowers a
+  single definition and the value-flow phase re-analyzes only the
+  dirty cone (recorded, and asserted == the edited functions);
+- ``core_edit`` — one ``chain*`` body edit in ``core.c``: the patch
+  re-lowers that definition and the value-flow phase re-analyzes its
+  callers' cone.
 
 Before timing, the edited-tree re-verdict is asserted byte-identical
 to a cold session over the same sources — the differential guarantee
 the incremental layer is built on.
 
-The headline machine-independent ratio is ``edit_ratio`` (edit /
-cold). The CI gate re-measures the ``large`` rung and fails when an
-edit re-verdict costs more than ``--gate`` (default 10%) of a cold
-run, or when the re-analyzed set exceeds the expected dirty cone.
+The headline machine-independent ratios are ``edit_ratio`` (edit /
+cold) and ``core_edit_ratio`` (core edit / cold). The CI gate
+re-measures the ``large`` rung and fails when an edit re-verdict costs
+more than ``--gate`` (default 10%) of a cold run, when a core edit
+costs more than its recorded ``core_edit_ratio`` given the same
+relative headroom (``--gate 0.15`` over the 0.10 target: 1.5x), or
+when the re-analyzed set of a filler edit exceeds the expected dirty
+cone.
 
 Usage::
 
@@ -73,20 +80,25 @@ SMOKE_CONFIGS = [
          filler_units=2, fillers_per_unit=3),
 ]
 
+#: the edit/cold target a filler edit is gated at by default
+DEFAULT_GATE = 0.10
+
 #: the filler-body constant toggled to produce a one-function edit
 EDIT_OLD, EDIT_NEW = "* 0.99", "* 0.98"
+#: the guard constant of ``chain0`` (the first chain body in core.c)
+CORE_OLD, CORE_NEW = "v > 100.0 ||", "v > 100.5 ||"
 
 
 def _config() -> AnalysisConfig:
     return AnalysisConfig(cache_dir=None, summary_mode=True)
 
 
-def _toggle(path: str, position: int) -> None:
-    """Flip the edit constant of one filler body (read-modify-write)."""
+def _toggle(path: str, position: int,
+            pair=(EDIT_OLD, EDIT_NEW)) -> None:
+    """Flip one body's edit constant (read-modify-write)."""
     with open(path) as f:
         text = f.read()
-    old, new = (EDIT_OLD, EDIT_NEW) if position % 2 == 0 \
-        else (EDIT_NEW, EDIT_OLD)
+    old, new = pair if position % 2 == 0 else pair[::-1]
     assert old in text, f"{old!r} not found in {path}"
     with open(path, "w") as f:
         f.write(text.replace(old, new, 1))
@@ -126,7 +138,7 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
     session = _session(paths, scratch / f"{spec['name']}-store")
     session.verdict()
 
-    with gc_paused(True):
+    with gc_paused():
         noop_best = None
         for _ in range(runs):
             t0 = time.perf_counter()
@@ -162,11 +174,22 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
 
     # differential guarantee: the warm re-verdict must be
     # byte-identical to a cold session over the edited tree
-    cold_session = _session(paths, scratch / f"{spec['name']}-diff")
-    if (edit_report.render(verbose=True)
-            != cold_session.verdict().render(verbose=True)):
-        raise SystemExit(f"{spec['name']}: warm re-verdict differs from "
-                         f"a cold run; refusing to bench")
+    _differential(spec, paths, scratch, edit_report, "diff")
+
+    with open(paths[0]) as f:
+        core = f.read()
+    if not 0 <= core.index("double chain0(") < core.index(CORE_OLD):
+        raise SystemExit(f"{spec['name']}: no chain0 guard to edit")
+    with gc_paused():
+        core_best = None
+        for i in range(max(2, runs)):
+            _toggle(paths[0], i, (CORE_OLD, CORE_NEW))
+            t0 = time.perf_counter()
+            core_report = session.verdict()
+            elapsed = time.perf_counter() - t0
+            core_best = elapsed if core_best is None \
+                else min(core_best, elapsed)
+    _differential(spec, paths, scratch, core_report, "core-diff")
 
     return {
         "name": spec["name"],
@@ -177,6 +200,9 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
         "noop_seconds": round(noop_best, 4),
         "edit_seconds": round(edit_best, 4),
         "edit_ratio": round(edit_best / cold_best, 4),
+        "core_edit_seconds": round(core_best, 4),
+        "core_edit_ratio": round(core_best / cold_best, 4),
+        "core_dirty_cone": core_report.stats.dirty_cone_size,
         "noop_ratio": round(noop_best / cold_best, 4),
         "dirty_cone": cone,
         "functions_reanalyzed": edit_report.stats.functions_reanalyzed,
@@ -184,6 +210,14 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
         "merged_seeds_applied": edit_report.stats.kernel_counters.get(
             "merged_seeds_applied", 0),
     }
+
+
+def _differential(spec, paths, scratch, report, tag) -> None:
+    cold_session = _session(paths, scratch / f"{spec['name']}-{tag}")
+    if (report.render(verbose=True)
+            != cold_session.verdict().render(verbose=True)):
+        raise SystemExit(f"{spec['name']}: warm re-verdict differs from "
+                         f"a cold run; refusing to bench")
 
 
 def _check_regression(baseline_path: Path, runs: int, gate: float) -> int:
@@ -195,13 +229,17 @@ def _check_regression(baseline_path: Path, runs: int, gate: float) -> int:
     with tempfile.TemporaryDirectory(
             prefix="safeflow-bench-inc-") as scratch:
         entry = _bench_config(spec, runs, Path(scratch))
-    ratio = entry["edit_ratio"]
-    reference = by_name[spec["name"]]["edit_ratio"]
-    ok = ratio <= gate
-    print(f"{spec['name']}: edit_ratio {ratio:.4f} "
-          f"(baseline {reference:.4f}, gate {gate:.2f}) "
-          f"{'OK' if ok else 'REGRESSION'}")
-    return 0 if ok else 1
+    reference = by_name[spec["name"]]
+    core_gate = reference["core_edit_ratio"] * gate / DEFAULT_GATE
+    failed = False
+    for key, limit in (("edit_ratio", gate), ("core_edit_ratio", core_gate)):
+        ratio = entry[key]
+        ok = ratio <= limit
+        failed = failed or not ok
+        print(f"{spec['name']}: {key} {ratio:.4f} "
+              f"(baseline {reference[key]:.4f}, gate {limit:.2f}) "
+              f"{'OK' if ok else 'REGRESSION'}")
+    return 1 if failed else 0
 
 
 def main() -> int:
@@ -216,8 +254,9 @@ def main() -> int:
                         help="re-measure the gate rung and fail when an "
                              "edit re-verdict costs more than --gate of "
                              "a cold run")
-    parser.add_argument("--gate", type=float, default=0.10,
-                        help="maximum edit/cold ratio (default: 0.10)")
+    parser.add_argument("--gate", type=float, default=DEFAULT_GATE,
+                        help="maximum edit/cold ratio (default: 0.10); "
+                             "the core-edit limit scales with it")
     args = parser.parse_args()
 
     if args.check:
@@ -236,6 +275,8 @@ def main() -> int:
                   f"noop={entry['noop_seconds'] * 1000:6.1f}ms "
                   f"edit={entry['edit_seconds'] * 1000:6.1f}ms "
                   f"(x{entry['edit_ratio']:.3f} of cold) "
+                  f"core_edit={entry['core_edit_seconds'] * 1000:6.1f}ms "
+                  f"(x{entry['core_edit_ratio']:.3f}) "
                   f"cone={entry['dirty_cone']} "
                   f"swaps={entry['unit_swaps']}")
 

@@ -524,6 +524,31 @@ def _detach_stdout() -> None:
     os.close(devnull)
 
 
+class _PipeSafeStdout:
+    """The process entry's stdout: when the reader goes away
+    (``| head``), the rest of the output drains to ``/dev/null`` and
+    the command runs on to its own exit code, with no traceback."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            _detach_stdout()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            _detach_stdout()
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def cmd_analyze(args) -> int:
     # the run's IR is garbage once the verdict is out: with the
     # collector off, nothing spends time reclaiming it before exit
@@ -550,22 +575,18 @@ def _analyze(args) -> int:
     if dot:
         with open(dot, "w") as f:
             f.write(report.witness_graphs[0])
-    try:
-        if args.json:
-            print(_report_json(report))
-        else:
-            print(report.render(verbose=args.verbose))
-            if args.stats:
-                print()
-                print(_render_stats(report))
-            if args.profile:
-                print()
-                print(_render_profile(report))
-        if dot:
-            print(f"\nvalue flow graph written to {dot}")
-    except BrokenPipeError:
-        # the reader stopped early (``| head``): the verdict stands
-        _detach_stdout()
+    if args.json:
+        print(_report_json(report))
+    else:
+        print(report.render(verbose=args.verbose))
+        if args.stats:
+            print()
+            print(_render_stats(report))
+        if args.profile:
+            print()
+            print(_render_profile(report))
+    if dot:
+        print(f"\nvalue flow graph written to {dot}")
     return 0 if report.passed else 1
 
 
@@ -1054,10 +1075,9 @@ def console_main(argv: Optional[List[str]] = None) -> NoReturn:
     its heap before exiting, so neither a closing collection nor
     interpreter teardown walks the IR it is about to drop; ``atexit``
     handlers and stream flushing still run. Every other command exits
-    as ``sys.exit(main())`` would. If the reader of stdout is gone by
-    the final flush (``| head``), stdout is pointed at ``/dev/null``
-    and the exit code is still the command's own, with no traceback;
-    ``analyze`` also survives a pipe that breaks mid-report.
+    as ``sys.exit(main())`` would. For every command, a pipe that
+    breaks (``| head``) points stdout at ``/dev/null``; the command
+    finishes with its own exit code and no traceback.
     """
     args = _build_parser().parse_args(argv)
     one_shot = args.command == "analyze"
@@ -1065,11 +1085,9 @@ def console_main(argv: Optional[List[str]] = None) -> NoReturn:
         # off here too, so no collection runs between cmd_analyze
         # restoring the setting and the freeze
         gc.disable()
+    sys.stdout = _PipeSafeStdout(sys.stdout)
     code = _dispatch(args)
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _detach_stdout()
+    sys.stdout.flush()
     if one_shot:
         gc.freeze()
     sys.exit(code)

@@ -71,8 +71,9 @@ class AnalysisConfig:
     #: reuse pickled front-ended programs from ``cache_dir``
     frontend_cache: bool = True
     #: reuse front-ended :class:`Program` objects in memory between
-    #: runs of one process (:mod:`repro.perf.progmemo`) — skips even
-    #: the disk cache's unpickle on the serving hot path. Effective
+    #: runs of one process (:mod:`repro.perf.progmemo`), as is or
+    #: patched to an edited variant — skips the disk cache's unpickle
+    #: and most of a rebuild on the serving hot path. Effective
     #: only when ``cache_dir``/``frontend_cache`` are on (keys are the
     #: IR-cache content keys). Report-preserving, never part of a
     #: cache key.

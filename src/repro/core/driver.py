@@ -18,7 +18,9 @@ The three phases follow §3.3 of the paper:
 
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
-on-disk cache. A ``safeflow watch`` session additionally hands
+on-disk cache, and in memory a pooled program is reused as is or
+patched into the requested one (:mod:`repro.perf.progmemo`). A
+``safeflow watch`` session additionally hands
 :meth:`SafeFlow.analyze_program` its segment store, so value-flow
 summary bodies of unchanged functions are replayed instead of
 recomputed. Both paths are behavior-preserving — reports render
@@ -53,81 +55,82 @@ class SafeFlow:
     def analyze_source(self, text: str, filename: str = "<source>",
                        name: str = "program") -> AnalysisReport:
         """Analyze a single C source string (the core component)."""
-        from ..perf.gcpause import gc_paused
-
-        with gc_paused():
-            cache = self._ir_cache()
-            started = time.perf_counter()
-            memo, memo_key = self._program_memo(), None
-            program = None
-            if memo is not None:
-                memo_key = self._memo_key(cache.key_for_source(
-                    text, filename, self.config.defines,
-                    self.config.verify_ir, self._recover_token(),
-                ))
-                program = memo.acquire(memo_key)
-                if program is not None:
-                    cache.hits += 1
-            if program is None:
-                program = load_source(
-                    text,
-                    filename=filename,
-                    defines=self.config.defines,
-                    verify=self.config.verify_ir,
-                    cache=cache,
-                    recover=self._recover(),
-                    recover_tiers=self.config.recover_tiers,
-                )
-            try:
-                return self.analyze_program(
-                    program,
-                    name=name,
-                    source_text=text,
-                    frontend_seconds=time.perf_counter() - started,
-                    ir_cache=cache,
-                )
-            finally:
-                if memo is not None:
-                    memo.release(memo_key, program)
+        cache = self._ir_cache()
+        return self._analyze_loaded(
+            lambda: cache.key_for_source(
+                text, filename, self.config.defines, self.config.verify_ir,
+                self._recover_token()),
+            ("source", filename), {filename: text}, (),
+            lambda: load_source(
+                text, filename=filename, defines=self.config.defines,
+                verify=self.config.verify_ir, cache=cache,
+                recover=self._recover(),
+                recover_tiers=self.config.recover_tiers),
+            cache, name=name, source_text=text)
 
     def analyze_files(self, paths: Sequence[str],
                       name: str = "program") -> AnalysisReport:
         """Analyze one or more C files as a whole program."""
+        cache = self._ir_cache()
+        return self._analyze_loaded(
+            lambda: cache.key_for_files(
+                paths, self.config.include_dirs, self.config.defines,
+                self.config.verify_ir, self._recover_token()),
+            ("files", tuple(paths), tuple(self.config.include_dirs)),
+            dict.fromkeys(paths), self.config.include_dirs,
+            lambda: load_files(
+                paths, include_dirs=self.config.include_dirs,
+                defines=self.config.defines, verify=self.config.verify_ir,
+                cache=cache, recover=self._recover(),
+                recover_tiers=self.config.recover_tiers),
+            cache, name=name)
+
+    def _analyze_loaded(self, key_of, lineage, texts, include_dirs, load,
+                        cache, name: str, source_text: Optional[str] = None
+                        ) -> AnalysisReport:
+        """Front-end through the program memo (an exact hit for
+        ``key_of()``, or a pooled program of ``lineage`` patched to
+        ``texts``), else ``load()``; analyze; pool the program again."""
         from ..perf.gcpause import gc_paused
 
         with gc_paused():
-            cache = self._ir_cache()
             started = time.perf_counter()
-            memo, memo_key = self._program_memo(), None
-            program = None
+            memo = self._program_memo()
+            key = program = relowered = None
             if memo is not None:
-                memo_key = self._memo_key(cache.key_for_files(
-                    paths, self.config.include_dirs, self.config.defines,
-                    self.config.verify_ir, self._recover_token(),
-                ))
-                program = memo.acquire(memo_key)
+                key = self._memo_key(key_of())
+                lineage = self._memo_key(repr(lineage + (
+                    self.config.defines, self.config.verify_ir,
+                    self._recover_token())))
+                program = memo.acquire(key)
                 if program is not None:
                     cache.hits += 1
+                else:
+                    from ..frontend.patch import apply_patch, plan_patch
+
+                    derived = memo.derive(
+                        key, lineage,
+                        lambda held: plan_patch(
+                            held, texts, include_dirs, self.config.defines,
+                            self._recover()),
+                        apply_patch)
+                    if derived is not None:
+                        program, relowered = derived
+                        cache.misses += 1
             if program is None:
-                program = load_files(
-                    paths,
-                    include_dirs=self.config.include_dirs,
-                    defines=self.config.defines,
-                    verify=self.config.verify_ir,
-                    cache=cache,
-                    recover=self._recover(),
-                    recover_tiers=self.config.recover_tiers,
-                )
+                program = load()
             try:
-                return self.analyze_program(
-                    program,
-                    name=name,
+                report = self.analyze_program(
+                    program, name=name, source_text=source_text,
                     frontend_seconds=time.perf_counter() - started,
-                    ir_cache=cache,
-                )
+                    ir_cache=cache)
             finally:
                 if memo is not None:
-                    memo.release(memo_key, program)
+                    memo.release(key, program, lineage)
+            if relowered is not None:
+                report.stats.frontend_derived = 1
+                report.stats.definitions_relowered = len(relowered)
+            return report
 
     def analyze_request(self, *, source: Optional[str] = None,
                         filename: str = "<source>",

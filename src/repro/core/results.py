@@ -45,6 +45,10 @@ class AnalysisStats:
     summary_cache_misses: int = 0
     #: damaged cache entries (checksum mismatch) evicted and recomputed
     cache_integrity_evictions: int = 0
+    #: 1 when the program was patched from a pooled neighbour
+    #: (:mod:`repro.frontend.patch`), with the definitions re-lowered
+    frontend_derived: int = 0
+    definitions_relowered: int = 0
     #: frontend/annotation failures isolated instead of raised
     #: (degraded-mode analysis; see :mod:`repro.degrade`)
     degraded_units: int = 0
@@ -144,6 +148,9 @@ class AnalysisStats:
             "phase_timings": dict(self.phase_timings),
             **self.cache_counters(),
         }
+        if self.frontend_derived:
+            out["frontend_derived"] = self.frontend_derived
+            out["definitions_relowered"] = self.definitions_relowered
         if self.recovered_units:
             out["recovered_units"] = self.recovered_units
         if self.recovery_attempts:

@@ -23,20 +23,18 @@ from ..annotations.lang import AnnotationItem
 from ..degrade import (
     KIND_FUNCTION,
     KIND_RECOVERED,
-    KIND_UNIT,
     DegradedUnit,
     degraded_function_names,
     sort_degraded,
 )
 from ..errors import ParseError, PreprocessorError
 from ..ir import Module, verify_module
-from ..ir.source import SourceLocation
 from ..ir.verifier import verify_function
 from .attach import annotation_line_count, attach_annotations, owning_function
 from .lower import ModuleLowerer, lower_units
 from .parser import ParsedUnit
 from .preprocessor import ExtractedAnnotation
-from .recovery import frontend_unit
+from .recovery import frontend_unit, unit_lost
 
 
 @dataclass
@@ -58,6 +56,9 @@ class Program:
     recovery_attempts: Dict[str, int] = field(default_factory=dict)
     #: per-tier recovery-ladder success counts (``--recover`` only)
     recovery_successes: Dict[str, int] = field(default_factory=dict)
+    #: the lowerer that built ``module``; :mod:`repro.frontend.patch`
+    #: re-lowers edited bodies through it
+    lowerer: Optional[ModuleLowerer] = None
 
     @property
     def annotation_lines(self) -> int:
@@ -176,7 +177,7 @@ def load_files(
             failure = PreprocessorError(f"cannot read {path}: {exc}")
             if not recover:
                 raise failure
-            degraded.append(_unit_failure(path, failure))
+            degraded.append(unit_lost(path, failure))
             continue
         result = frontend_unit(
             text, path, include_dirs=include_dirs, defines=defines,
@@ -194,18 +195,6 @@ def load_files(
     if cache is not None:
         cache.store(key, program)
     return program
-
-
-def _unit_failure(path: str, exc: BaseException) -> DegradedUnit:
-    if isinstance(exc, RecursionError):
-        cause = "recursion limit exceeded while front-ending the unit"
-        location = SourceLocation(path, 0)
-    else:
-        cause = getattr(exc, "message", None) or str(exc)
-        location = getattr(exc, "location", None) or SourceLocation(path, 0)
-    return DegradedUnit(
-        kind=KIND_UNIT, name=path, cause=cause, location=location,
-    )
 
 
 def _smear_recovered(
@@ -303,6 +292,7 @@ def _finish(
         degraded_functions=degraded_function_names(resolved),
         recovery_attempts=dict(recovery_attempts or {}),
         recovery_successes=dict(recovery_successes or {}),
+        lowerer=lowerer,
     )
 
 

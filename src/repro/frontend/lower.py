@@ -14,7 +14,8 @@ flow-sensitivity the value-flow phase relies on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from pycparser import c_ast
 
@@ -55,6 +56,7 @@ from ..ir import (
 )
 from ..ir import types as T
 from ..ir.source import SourceLocation
+from ..ir.verifier import verify_function
 from .parser import ParsedUnit
 
 _PRIMITIVES: Dict[Tuple[str, ...], CType] = {}
@@ -109,6 +111,10 @@ class TypeBuilder:
         self.typedefs: Dict[str, CType] = {}
         self.enum_constants: Dict[str, int] = {}
         self._anon_counter = 0
+        #: table writes an earlier body would not have seen: enum
+        #: constants registered or changed, typedefs re-registered with
+        #: another type (see ``ModuleLowerer.relower``)
+        self.changes = 0
 
     def sizeof_name(self, type_name: str) -> int:
         """Resolve ``sizeof(name)`` for annotation size expressions."""
@@ -195,6 +201,8 @@ class TypeBuilder:
         for enumerator in node.values.enumerators:
             if enumerator.value is not None:
                 next_value = self.eval_const(enumerator.value)
+            if self.enum_constants.get(enumerator.name) != next_value:
+                self.changes += 1
             self.enum_constants[enumerator.name] = next_value
             next_value += 1
 
@@ -329,12 +337,8 @@ class ModuleLowerer:
     """Lowers one or more parsed units into a single IR module."""
 
     def __init__(self, module_name: str = "program", run_ssa: bool = True,
-                 recover: bool = False, module: Optional[Module] = None):
-        #: lowering into an existing module (``module=``) is the
-        #: incremental front end's surgical unit swap: the edited
-        #: unit's new functions bind call targets against the live
-        #: function objects of every other (unchanged) unit
-        self.module = module if module is not None else Module(module_name)
+                 recover: bool = False):
+        self.module = Module(module_name)
         self.run_ssa = run_ssa
         #: function name → start SourceLocation, used for annotation
         #: attachment by the front-end driver
@@ -346,6 +350,14 @@ class ModuleLowerer:
         self._shared_typedefs: Dict[str, CType] = {}
         self._shared_enums: Dict[str, int] = {}
         self._types: Optional[TypeBuilder] = None
+        #: for :meth:`relower`: per definition, its order + the
+        #: :meth:`_state_mark` its body saw + the function count after
+        #: it; bodies that changed more than the function table;
+        #: declarations a definition retyped; finished units' changes
+        self.body_marks: Dict[str, Tuple[int, ...]] = {}
+        self.body_effects: Set[str] = set()
+        self.retyped: Set[str] = set()
+        self._changes = 0
 
     def sizeof_name(self, type_name: str) -> int:
         """Resolve ``sizeof`` in annotation size expressions."""
@@ -361,7 +373,10 @@ class ModuleLowerer:
         # first sweep: typedefs and type definitions so later sizes work
         for ext in unit.ast.ext:
             if isinstance(ext, c_ast.Typedef):
-                types.typedefs[ext.name] = types.from_node(ext.type)
+                ctype = types.from_node(ext.type)
+                if types.typedefs.get(ext.name, ctype) != ctype:
+                    types.changes += 1
+                types.typedefs[ext.name] = ctype
             elif isinstance(ext, c_ast.Decl) and isinstance(
                 ext.type, (c_ast.Struct, c_ast.Union, c_ast.Enum)
             ) and ext.name is None:
@@ -404,6 +419,7 @@ class ModuleLowerer:
                 )
         if unit.name not in self.module.source_files:
             self.module.source_files.append(unit.name)
+        self._changes += types.changes
         return self.module
 
     # ------------------------------------------------------------------
@@ -454,6 +470,8 @@ class ModuleLowerer:
             func = Function(decl.name, ftype)
             self.module.add_function(func)
         else:
+            if func.ftype != ftype:
+                self.retyped.add(decl.name)
             func.ftype = ftype
             func.type = ftype
         func.location = unit.origin(funcdef.coord)
@@ -471,9 +489,81 @@ class ModuleLowerer:
                 param_decls.append(param)
 
         lowerer = FunctionLowerer(self, func, types, unit)
+        mark, anon = self._state_mark(types), types._anon_counter
         lowerer.lower_body(param_decls, funcdef.body)
+        after = self._state_mark(types)
+        if after[1:] != mark[1:] or types._anon_counter != anon:
+            self.body_effects.add(decl.name)
+        self.body_marks[decl.name] = (len(self.body_marks),) + mark \
+            + (after[0],)
         if self.run_ssa:
             build_ssa(func)
+
+    def _state_mark(self, types: Optional[TypeBuilder] = None
+                    ) -> Tuple[int, ...]:
+        module = self.module
+        return (len(module.functions), len(module.globals),
+                len(module.structs),
+                sum(1 for s in module.structs.values() if s.is_complete),
+                self._changes + (types.changes if types else 0))
+
+    def relower(self, funcdef: c_ast.FuncDef, unit: ParsedUnit) -> bool:
+        """Re-lower an edited body into its live :class:`Function`,
+        which keeps its identity (call operands elsewhere stay bound).
+
+        The body is lowered as a cold build would: against the
+        functions and globals declared before it, declaring exactly the
+        functions the old body declared (its calls then bind to the
+        live objects). False, leaving the module unusable, when the
+        result could differ from a cold build: either body changed
+        other module state, a call targets a function a later
+        definition retyped, the type tables changed after the body, or
+        lowering or verification failed.
+        """
+        name = funcdef.decl.name
+        module = self.module
+        func = module.get_function(name)
+        mark = self.body_marks.get(name)
+        if (func is None or mark is None or name in self.body_effects
+                or mark[3:6] != self._state_mark()[2:]):
+            return False
+        index, functions, globals_ = mark[:3]
+        full = module.functions, module.globals
+        declared = list(islice(full[0], functions, mark[6]))
+        module.functions = dict(islice(full[0].items(), functions))
+        module.globals = dict(islice(full[1].items(), globals_))
+        func.drop_body()
+        func.arguments, func._next_temp, func._next_block = [], 0, 0
+        types = TypeBuilder(module, unit)
+        types.typedefs = self._shared_typedefs
+        types.enum_constants = self._shared_enums
+        try:
+            self._lower_funcdef(funcdef, types, unit)
+            verify_function(func)
+        except (LoweringError, IRError, RecursionError):
+            return False
+        finally:
+            view = module.functions
+            module.functions, module.globals = full
+            self.body_marks[name] = mark
+        fresh = dict(islice(view.items(), functions, None))
+        if (list(fresh) != declared or name in self.body_effects
+                or types.changes or types._anon_counter):
+            return False
+        for inst in func.instructions():
+            callee = getattr(inst, "callee", None)
+            for op in [callee, *inst.operands]:
+                if not isinstance(op, Function):
+                    continue
+                if fresh.get(op.name) is op:
+                    live = full[0][op.name]
+                    if callee is op:
+                        inst.callee = live
+                    inst.replace_operand(op, live)
+                elif (op.name in self.retyped
+                      and self.body_marks.get(op.name, mark)[0] > index):
+                    return False
+        return True
 
     def _lower_funcdef_recover(self, funcdef: c_ast.FuncDef,
                                types: TypeBuilder, unit: ParsedUnit) -> None:

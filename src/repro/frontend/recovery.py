@@ -522,7 +522,7 @@ class RecoveredUnit:
     successes: Dict[str, int] = field(default_factory=dict)
 
 
-def _unit_lost(path: str, exc: BaseException) -> DegradedUnit:
+def unit_lost(path: str, exc: BaseException) -> DegradedUnit:
     if isinstance(exc, RecursionError):
         cause = "recursion limit exceeded while front-ending the unit"
         location = SourceLocation(path, 0)
@@ -602,7 +602,7 @@ def _error_output_line(message: str) -> int:
     return -1
 
 
-def _function_spans(work: str) -> List[Tuple[str, int, int, int]]:
+def function_spans(work: str) -> List[Tuple[str, int, int, int]]:
     """Top-level function-definition spans in preprocessed text.
 
     Returns ``(name, name_index, brace_index, close_index)`` per
@@ -676,7 +676,7 @@ def _salvage(text, filename, include_dirs, defines, *,
                     f"{exc}", SourceLocation(filename, 0))
             err_idx_line = out_line  # 1-based line into ``work``
             span = None
-            for name, name_idx, brace_idx, close_idx in _function_spans(work):
+            for name, name_idx, brace_idx, close_idx in function_spans(work):
                 start_line = work.count("\n", 0, name_idx) + 1
                 end_line = work.count("\n", 0, close_idx) + 1
                 if start_line <= err_idx_line <= end_line:
@@ -861,6 +861,6 @@ def frontend_unit(
     if not recover:
         raise strict_exc
     return RecoveredUnit(
-        unit=None, annotations=[], degraded=[_unit_lost(filename, strict_exc)],
+        unit=None, annotations=[], degraded=[unit_lost(filename, strict_exc)],
         tier=None, attempts=attempts, successes=successes,
     )

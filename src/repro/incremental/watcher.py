@@ -7,17 +7,15 @@ program alive between verdicts:
   never re-preprocessed or re-parsed, and a verdict over *all*-unchanged
   digests short-circuits to a memoized copy of the last report without
   touching any phase;
-- the lowered :class:`~repro.frontend.driver.Program`, updated by a
-  **surgical unit swap** when the edit allows it (a single changed unit
-  that defines only plain functions, no annotations, the same function
-  names as before, none of them referenced from other units): per-def
-  AST digests prune the swap to the definitions that actually changed —
-  their old function objects are unbound and only they are re-lowered
-  into the live module, so every other definition's IR — and with it
-  the per-function fingerprint memoization — survives untouched. Any
-  edit outside that envelope (signature change, annotation change, new
-  or deleted file, degraded unit) falls back to a full re-lower over
-  the cached parse trees, which is still parse-free;
+- the lowered :class:`~repro.frontend.driver.Program`, patched in place
+  by :mod:`repro.frontend.patch` when the edit allows
+  it: only the definitions whose body text changed are re-parsed and
+  re-lowered into their live function objects, so every other
+  definition's IR (and with it the per-function fingerprint
+  memoization) survives untouched. Any edit outside the patch envelope
+  (signature, annotation or global change, new or deleted file or
+  definition, degraded unit) re-parses the changed units and re-lowers
+  everything from the cached parse trees;
 - the long-lived :class:`~repro.incremental.segments.SegmentStore`,
   injected into every verdict so the value-flow phase replays intact
   segments and re-analyzes only the dirty cone.
@@ -35,53 +33,26 @@ from __future__ import annotations
 import os
 import time
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-from pycparser import c_ast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import AnalysisConfig
 from ..core.driver import SafeFlow
 from ..core.results import AnalysisReport
 from ..degrade import DegradedUnit
-from ..errors import IRError, LoweringError, ParseError, PreprocessorError
-from ..frontend.driver import Program, _finish, _merge_counts, _unit_failure
-from ..frontend.lower import ModuleLowerer
+from ..errors import ParseError, PreprocessorError
+from ..frontend.driver import Program, _finish, _merge_counts
 from ..frontend.parser import ParsedUnit
+from ..frontend.patch import apply_patch, plan_patch
 from ..frontend.preprocessor import ExtractedAnnotation
-from ..frontend.recovery import frontend_unit
-from ..ir import Function
-from ..ir.verifier import verify_function
+from ..frontend.recovery import frontend_unit, unit_lost
 from ..perf.fingerprint import text_digest
 from .segments import SegmentStore
-
-
-def _ast_digest(node) -> str:
-    """Structural digest of one AST subtree, coordinates included.
-
-    Two definitions digest equal only when re-lowering them would
-    reproduce byte-identical IR: node types, attribute values *and*
-    source coordinates all participate (coordinates feed diagnostics,
-    so a def pushed down by an edit above it must count as changed)."""
-    parts: List[str] = []
-    stack = [("", node)]
-    while stack:
-        slot, n = stack.pop()
-        parts.append(slot)
-        parts.append(n.__class__.__name__)
-        for attr in n.attr_names:
-            parts.append(repr(getattr(n, attr, None)))
-        coord = n.coord
-        if coord is not None:
-            parts.append(f"{coord.line}.{coord.column}")
-        stack.extend(reversed(n.children()))
-    return text_digest("\x00".join(parts))
 
 
 class _UnitState:
     """Cached front-end state of one translation unit."""
 
     __slots__ = ("path", "digest", "unit", "annotations", "degraded",
-                 "defs", "refs", "funcs_only", "def_digests",
                  "recovery_attempts", "recovery_successes")
 
     def __init__(self, path: str, digest: str,
@@ -99,61 +70,6 @@ class _UnitState:
         #: the same recovery stats as a cold ``safeflow analyze``
         self.recovery_attempts: Dict[str, int] = {}
         self.recovery_successes: Dict[str, int] = {}
-        #: function names defined by this unit (definition order)
-        self.defs: Tuple[str, ...] = ()
-        #: function names this unit's code references (call targets and
-        #: address-taken uses) — maintained after lowering
-        self.refs: Set[str] = set()
-        #: the surgical swap envelope: top level is function
-        #: definitions plus nodes every unit re-lowers idempotently
-        #: into a shared module anyway (typedefs, extern declarations,
-        #: function prototypes — the preprocessor prelude consists of
-        #: exactly these). A non-extern variable declaration defines
-        #: module state and disqualifies the unit; annotations are
-        #: checked separately.
-        self.funcs_only = False
-        if unit is not None:
-            defs = []
-            funcs_only = True
-            for ext in unit.ast.ext:
-                if isinstance(ext, c_ast.FuncDef):
-                    defs.append(ext.decl.name)
-                elif isinstance(ext, (c_ast.Typedef, c_ast.Pragma)):
-                    continue
-                elif isinstance(ext, c_ast.Decl):
-                    if not isinstance(ext.type, c_ast.FuncDecl) \
-                            and "extern" not in (ext.storage or []):
-                        funcs_only = False
-                else:
-                    funcs_only = False
-            self.defs = tuple(defs)
-            self.funcs_only = funcs_only
-        #: per-definition AST digests (swap-eligible units only): lets
-        #: the surgical swap re-lower just the defs that changed
-        self.def_digests: Dict[str, str] = {}
-        if unit is not None and self.funcs_only:
-            for ext in unit.ast.ext:
-                if isinstance(ext, c_ast.FuncDef):
-                    self.def_digests[ext.decl.name] = _ast_digest(ext)
-
-
-def _function_refs(module, fnames: Sequence[str]) -> Set[str]:
-    """Names of functions referenced from the bodies of ``fnames``
-    (call targets and any function-valued operand — covers
-    address-taken uses)."""
-    refs: Set[str] = set()
-    for fname in fnames:
-        func = module.get_function(fname)
-        if func is None:
-            continue
-        for inst in func.instructions():
-            callee = getattr(inst, "callee", None)
-            if isinstance(callee, Function):
-                refs.add(callee.name)
-            for op in inst.operands:
-                if isinstance(op, Function):
-                    refs.add(op.name)
-    return refs
 
 
 class IncrementalSession:
@@ -184,8 +100,10 @@ class IncrementalSession:
         #: digest moved (editor touch/save-without-change events)
         self.memo_verdicts = 0
         self.last_changed: Tuple[str, ...] = ()
-        #: function names the last surgical swap actually re-lowered
+        #: function names the last patch actually re-lowered
         self.last_swap_defs: Tuple[str, ...] = ()
+        #: new digests of changed paths not yet patched or re-parsed
+        self._pending: Dict[str, str] = {}
         self._last_report: Optional[AnalysisReport] = None
 
     def _make_store(self, root: Optional[str]) -> Optional[SegmentStore]:
@@ -238,18 +156,12 @@ class IncrementalSession:
                 self.verdicts += 1
                 return self._memoized_report(
                     perf_counter() - frontend_started)
+            patched = False
             if self.program is None or added or removed:
                 self._full_frontend()
             elif changed:
-                if len(changed) == 1 and self._swap_eligible(changed[0]):
-                    try:
-                        self._swap_unit(changed[0])
-                        self.swaps += 1
-                    except (LoweringError, IRError, ParseError):
-                        # the swap mutated the module before failing;
-                        # the cached parse trees rebuild it from scratch
-                        self._full_frontend()
-                else:
+                patched = self._patch(changed)
+                if not patched:
                     self._full_frontend()
             frontend_seconds = perf_counter() - frontend_started
             report = self.driver.analyze_program(
@@ -257,6 +169,10 @@ class IncrementalSession:
                 frontend_seconds=frontend_seconds,
                 summary_store=self.store,
             )
+            if patched:
+                report.stats.frontend_derived = 1
+                report.stats.definitions_relowered = len(
+                    self.last_swap_defs)
         if self._pending_integrity:
             report.stats.cache_integrity_evictions += self._pending_integrity
             self._pending_integrity = 0
@@ -285,18 +201,16 @@ class IncrementalSession:
     # ------------------------------------------------------------------
 
     def _refresh_units(self):
-        """Re-read every watched file; (re)parse the changed ones.
+        """Re-read every watched file; parse the added ones.
 
-        Returns ``(changed, added, removed)`` path lists. The new
-        :class:`_UnitState` replaces the old one only after a swap or
-        full re-lower consumed both (``_pending`` holds the new state
-        of changed paths until then).
+        Returns ``(changed, added, removed)`` path lists. A changed
+        path keeps its old :class:`_UnitState` until a patch or a full
+        re-lower consumed the edit (``_pending`` holds its new digest
+        until then).
         """
         changed: List[str] = []
         added: List[str] = []
         removed: List[str] = []
-        recover = bool(self.config.degraded_mode
-                       or self.config.recover_tiers)
         for path in self._paths:
             try:
                 with open(path, "rb") as f:
@@ -310,18 +224,42 @@ class IncrementalSession:
             state = self._units.get(path)
             if state is not None and state.digest == digest:
                 continue
-            new_state = self._frontend_unit(path, digest, recover)
             if state is None:
                 added.append(path)
-                self._units[path] = new_state
+                self._units[path] = self._frontend_unit(
+                    path, digest, self._recover())
             else:
                 changed.append(path)
-                self._pending = getattr(self, "_pending", {})
-                self._pending[path] = new_state
+                self._pending[path] = digest
         for path in [p for p in self._units if p not in self._paths]:
             removed.append(path)
             del self._units[path]
         return changed, added, removed
+
+    def _recover(self) -> bool:
+        return bool(self.config.degraded_mode or self.config.recover_tiers)
+
+    def _patch(self, changed: List[str]) -> bool:
+        """Patch the live program to the edited text
+        (:mod:`repro.frontend.patch`); False when the
+        edit is outside the patch envelope."""
+        plan = plan_patch(
+            self.program, dict.fromkeys(changed), self.config.include_dirs,
+            self.config.defines, self._recover())
+        relowered = None if plan is None else apply_patch(self.program, plan)
+        if relowered is None:
+            return False
+        for unit in self.program.units:
+            if unit.name in changed:
+                old = self._units[unit.name]
+                state = _UnitState(unit.name, self._pending.pop(unit.name),
+                                   unit, unit.source.annotations, [])
+                state.recovery_attempts = old.recovery_attempts
+                state.recovery_successes = old.recovery_successes
+                self._units[unit.name] = state
+        self.swaps += 1
+        self.last_swap_defs = relowered
+        return True
 
     def _frontend_unit(self, path: str, digest: str,
                        recover: bool) -> _UnitState:
@@ -333,7 +271,7 @@ class IncrementalSession:
             if not recover:
                 raise exc
             return _UnitState(path, digest, None, [],
-                              [_unit_failure(path, exc)])
+                              [unit_lost(path, exc)])
         try:
             result = frontend_unit(
                 text, path,
@@ -346,7 +284,7 @@ class IncrementalSession:
             if not recover:
                 raise
             return _UnitState(path, digest, None, [],
-                              [_unit_failure(path, exc)])
+                              [unit_lost(path, exc)])
         state = _UnitState(path, digest, result.unit, result.annotations,
                            result.degraded)
         state.recovery_attempts = dict(result.attempts)
@@ -354,9 +292,10 @@ class IncrementalSession:
         return state
 
     def _promote_pending(self) -> None:
-        for path, state in getattr(self, "_pending", {}).items():
-            self._units[path] = state
-        self._pending = {}
+        for path, digest in list(self._pending.items()):
+            self._units[path] = self._frontend_unit(
+                path, digest, self._recover())
+            del self._pending[path]
 
     def _full_frontend(self) -> None:
         """Re-lower everything from the cached parse trees."""
@@ -378,121 +317,12 @@ class IncrementalSession:
                 annotation_groups.append(state.annotations)
         self.program = _finish(
             units, annotation_groups, self.config.verify_ir,
-            recover=bool(self.config.degraded_mode
-                         or self.config.recover_tiers),
+            recover=self._recover(),
             degraded=degraded,
             recovery_attempts=attempts,
             recovery_successes=successes,
         )
         self.full_relowers += 1
-        # reference sets for future swap-eligibility checks
-        module = self.program.module
-        for state in self._units.values():
-            state.refs = _function_refs(module, state.defs)
-
-    # ------------------------------------------------------------------
-    # surgical unit swap
-    # ------------------------------------------------------------------
-
-    def _swap_eligible(self, path: str) -> bool:
-        """A changed unit can be re-lowered into the live module only
-        when nothing outside the unit can observe the difference:
-
-        - old and new top level contain nothing but function
-          definitions, and neither carries annotations;
-        - the new unit defines exactly the same function names (a
-          rename, addition or deletion moves call bindings and
-          module order — full re-lower);
-        - no other unit references any of those functions (the IR
-          binds calls to function *objects*; external references
-          would keep pointing at the old bodies);
-        - none of the functions is degraded or annotated.
-        """
-        program = self.program
-        old = self._units.get(path)
-        new = getattr(self, "_pending", {}).get(path)
-        if program is None or old is None or new is None:
-            return False
-        if old.unit is None or new.unit is None:
-            return False
-        if old.degraded or new.degraded:
-            return False
-        if not old.funcs_only or not new.funcs_only:
-            return False
-        if old.annotations or new.annotations:
-            return False
-        if tuple(sorted(old.defs)) != tuple(sorted(new.defs)):
-            return False
-        names = set(old.defs)
-        if names & set(program.degraded_functions or ()):
-            return False
-        for fname in names:
-            if program.function_annotations.get(fname):
-                return False
-        for other_path, state in self._units.items():
-            if other_path == path:
-                continue
-            if names & state.refs:
-                return False
-            if names & set(state.defs):
-                return False
-        return True
-
-    def _swap_unit(self, path: str) -> None:
-        old = self._units[path]
-        new = self._pending.pop(path)
-        program = self.program
-        module = program.module
-        # prune the swap to the defs whose ASTs actually moved — a
-        # one-function edit (or a comment/whitespace-only change) need
-        # not re-lower its 30 siblings. Pruning is sound only when no
-        # kept def references a re-lowered one: kept bodies bind call
-        # operands to function *objects*, which the re-lower replaces.
-        swapped = [f for f in new.defs
-                   if new.def_digests.get(f) != old.def_digests.get(f)]
-        if swapped and len(swapped) != len(new.defs):
-            kept = [f for f in new.defs if f not in set(swapped)]
-            if _function_refs(module, kept) & set(swapped):
-                swapped = list(new.defs)
-        self.last_swap_defs = tuple(swapped)
-        if swapped:
-            original_order = list(module.functions)
-            for fname in swapped:
-                module.functions.pop(fname, None)
-            unit = new.unit
-            if len(swapped) != len(new.defs):
-                keep = set(swapped)
-                pruned = c_ast.FileAST(ext=[
-                    ext for ext in new.unit.ast.ext
-                    if not (isinstance(ext, c_ast.FuncDef)
-                            and ext.decl.name not in keep)
-                ])
-                unit = ParsedUnit(pruned, new.unit.source,
-                                  name=new.unit.name)
-            lowerer = ModuleLowerer(run_ssa=True, recover=False,
-                                    module=module)
-            lowerer.lower_unit(unit)
-            if self.config.verify_ir:
-                for fname in swapped:
-                    func = module.get_function(fname)
-                    if func is not None and not func.is_declaration:
-                        verify_function(func)
-            # restore the cold module order (same names, new objects),
-            # with any newly created external declarations at the tail
-            # — byte-identity with a cold run depends on deterministic
-            # iteration
-            reordered = {}
-            for fname in original_order:
-                if fname in module.functions:
-                    reordered[fname] = module.functions[fname]
-            for fname, func in module.functions.items():
-                if fname not in reordered:
-                    reordered[fname] = func
-            module.functions = reordered
-        index = program.units.index(old.unit)
-        program.units[index] = new.unit
-        self._units[path] = new
-        new.refs = _function_refs(module, new.defs)
 
 
 class WatchLoop:

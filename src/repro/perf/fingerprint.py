@@ -138,12 +138,18 @@ def _loc_text(location) -> str:
 
 
 #: memoized digests keyed by Function identity. IR functions are
-#: immutable once the front end hands them to the analysis pipeline, so
-#: the digest of a live object never changes; weak keys let programs be
+#: immutable once the front end hands them to the analysis pipeline,
+#: except for a body the patching front end re-lowers in place, which
+#: drops its entry (:func:`forget_function`); weak keys let programs be
 #: garbage-collected normally.
 _FUNCTION_FP_CACHE: "weakref.WeakKeyDictionary[Function, str]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def forget_function(func: Function) -> None:
+    """Drop ``func``'s memoized digest after its body was replaced."""
+    _FUNCTION_FP_CACHE.pop(func, None)
 
 
 def function_fingerprint(func: Function) -> str:

@@ -110,6 +110,10 @@ class ServerMetrics:
             "frontend_hits": 0,
             "frontend_misses": 0,
             "integrity_evictions": 0,
+            #: programs patched from a pooled neighbour instead of
+            #: rebuilt, and the definitions those patches re-lowered
+            "derived_programs": 0,
+            "relowered_definitions": 0,
         }
         self._resilience = {
             "worker_restarts": 0,
@@ -219,6 +223,10 @@ class ServerMetrics:
                 stats.get("frontend_cache_misses", 0) or 0)
             self._cache["integrity_evictions"] += int(
                 stats.get("cache_integrity_evictions", 0) or 0)
+            self._cache["derived_programs"] += int(
+                stats.get("frontend_derived", 0) or 0)
+            self._cache["relowered_definitions"] += int(
+                stats.get("definitions_relowered", 0) or 0)
             units = int(stats.get("degraded_units", 0) or 0)
             if units:
                 self._degraded["analyses"] += 1

@@ -164,3 +164,117 @@ class TestDriverIntegration:
         flow.analyze_source(SIMPLE, filename="m.c")
         counters = program_memo().counters()
         assert counters["hits"] == hits_before and counters["pooled"] == 0
+
+
+def _patch_to(names):
+    """``(plan, apply)`` callbacks of a patch that re-lowers ``names``."""
+    return (lambda program: "plan"), (lambda program, plan: names)
+
+
+class TestLineage:
+    def test_neighbour_is_patched_and_consumed(self):
+        memo = ProgramMemo()
+        base = fake_program()
+        memo.release("base", base, lineage="L")
+        assert memo.acquire("variant") is None
+        assert memo.derive("variant", "L", *_patch_to(["f"])) == (
+            base, ("f",))
+        assert memo.counters()["pooled"] == 0
+        # pooled again under its own key
+        memo.release("variant", base, lineage="L")
+        assert memo.acquire("variant") is base
+
+    def test_other_lineages_and_exact_hits_are_kept(self):
+        # unrelated programs under one file name are content-keyed:
+        # each is served as is while it stays pooled
+        memo = ProgramMemo()
+        a, b, c = fake_program(), fake_program(), fake_program()
+        memo.release("a", a, lineage="L")
+        memo.release("b", b, lineage="L")
+        memo.release("c", c, lineage="M")
+        assert memo.derive("x", "N", *_patch_to(["f"])) is None
+        for key, program in (("a", a), ("b", b), ("a", a), ("c", c)):
+            assert memo.acquire(key) is program
+            memo.release(key, program, lineage="L" if key != "c" else "M")
+        assert memo.counters()["pooled"] == 3
+
+    def test_edit_outside_the_envelope_keeps_the_neighbour(self):
+        memo = ProgramMemo()
+        base = fake_program()
+        memo.release("base", base, lineage="L")
+        assert memo.derive("variant", "L", lambda p: None,
+                           lambda p, plan: ("f",)) is None
+        assert memo.acquire("base") is base
+
+    def test_half_applied_patch_drops_the_neighbour(self):
+        memo = ProgramMemo()
+        memo.release("base", fake_program(), lineage="L")
+        assert memo.derive("variant", "L", *_patch_to(None)) is None
+        assert memo.counters()["pooled"] == 0
+
+    def test_alternating_versions_end_up_pooled_side_by_side(self):
+        # A, B, A, B...: the first round patches each into the other,
+        # then both are kept and served as exact hits
+        memo = ProgramMemo()
+        memo.release("A", fake_program(), lineage="L")
+        served = []
+        for key in "BABABA":
+            program = memo.acquire(key)
+            how = "hit"
+            if program is None:
+                derived = memo.derive(key, "L", *_patch_to(["f"]))
+                program, how = (derived[0], "patch") if derived else (
+                    fake_program(), "build")
+            served.append(how)
+            memo.release(key, program, lineage="L")
+        assert served == ["patch", "patch", "build", "hit", "hit", "hit"]
+        assert memo.counters()["pooled"] == 2
+
+    def test_unrelated_programs_under_one_name_stay_exact_hits(
+            self, tmp_path):
+        # inline requests default to one file name; a failed patch
+        # attempt must leave the other program pooled
+        other = "int main(void) { return 3; }\n"
+        flow = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path / "c")))
+        for text in (SIMPLE, other):
+            flow.analyze_source(text)
+        hits_before = program_memo().counters()["hits"]
+        for _ in range(2):
+            for text in (SIMPLE, other):
+                report = flow.analyze_source(text)
+                assert report.stats.frontend_derived == 0
+                assert report.stats.frontend_cache_hits == 1
+        assert program_memo().counters()["hits"] == hits_before + 4
+
+    def test_one_off_variants_do_not_accumulate(self, tmp_path):
+        """100 distinct one-function variants of one program: one pooled
+        program for the lineage, and flat memory over the last 50."""
+        import gc
+        import tracemalloc
+
+        from repro.corpus import generate_core
+
+        source = generate_core(filler_functions=4).source
+        marker = "return acc + "
+        assert marker in source
+        flow = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path / "c")))
+        flow.analyze_source(source, filename="v.c")
+        traced = []
+        try:
+            for i in range(100):
+                variant = source.replace(marker, f"{marker}{i}.0 + ", 1)
+                report = flow.analyze_source(variant, filename="v.c")
+                assert report.stats.frontend_derived == 1
+                assert report.stats.definitions_relowered == 1
+                assert program_memo().counters()["pooled"] == 1
+                if i in (49, 74, 99):
+                    gc.collect()
+                    if i == 49:
+                        tracemalloc.start()
+                    else:
+                        traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # what the last 25 variants left allocated is no more than what
+        # the 25 before them left
+        assert traced[1] <= traced[0] * 1.05 + 64 * 1024

@@ -31,10 +31,24 @@ def _variants(count):
 
 
 def test_parallel_clients_match_sequential_cold_reports(tmp_path):
+    """Each variant has a file name of its own, so each is built, and
+    stored on disk, in its own lineage."""
+    _hammer(tmp_path, one_lineage=False)
+
+
+def test_parallel_clients_patching_one_lineage_match_cold_reports(tmp_path):
+    """All variants share one file name: workers patch pooled programs
+    into each other and never write a patched one to the disk cache."""
+    _hammer(tmp_path, one_lineage=True)
+
+
+def _hammer(tmp_path, one_lineage):
     sources = _variants(4)
+    names = ["<source>"] * 4 if one_lineage else [
+        f"prog{i}.c" for i in range(4)]
     expected = [
         SafeFlow(AnalysisConfig(summary_mode=True)).analyze_source(
-            src, name=f"prog{i}").render(verbose=True)
+            src, filename=names[i], name=f"prog{i}").render(verbose=True)
         for i, src in enumerate(sources)
     ]
 
@@ -50,7 +64,7 @@ def test_parallel_clients_match_sequential_cold_reports(tmp_path):
                         i = (client_index + round_index) % len(sources)
                         result = client.analyze(
                             source=sources[i], name=f"prog{i}",
-                            verbose=True,
+                            filename=names[i], verbose=True,
                         )
                         if result["render"] != expected[i]:
                             raise AssertionError(
@@ -75,19 +89,25 @@ def test_parallel_clients_match_sequential_cold_reports(tmp_path):
         assert metrics["analyses"]["failed"] == 0
         # the shared cache actually served warm requests
         assert metrics["cache"]["frontend_hits"] > 0
+        if not one_lineage:
+            assert metrics["cache"]["derived_programs"] == 0
     finally:
         server.stop()
 
     # (a) nothing in the shared cache directory was corrupted: a fresh
     # analyzer reading the same cache still reproduces the cold report
-    # and still gets hits
+    # and, for programs that were built rather than patched, still
+    # gets hits (memo off, so each hit is read from disk)
     for i, src in enumerate(sources):
-        config = AnalysisConfig(summary_mode=True,
+        config = AnalysisConfig(summary_mode=True, frontend_memo=False,
                                 cache_dir=str(tmp_path / "cache"))
         flow = SafeFlow(config)
-        report = flow.analyze_source(src, name=f"prog{i}")
+        report = flow.analyze_source(src, filename=names[i],
+                                     name=f"prog{i}")
         assert report.render(verbose=True) == expected[i]
-        assert report.stats.frontend_cache_hits == 1
+        assert report.stats.cache_integrity_evictions == 0
+        if not one_lineage:
+            assert report.stats.frontend_cache_hits == 1
 
 
 def test_cancel_mid_analysis_leaves_siblings_untouched(tmp_path):

@@ -84,6 +84,7 @@ class TestServerMetrics:
             "phase_timings": {"frontend": 0.02, "valueflow": 0.01},
             "frontend_cache_hits": 1, "summary_cache_hits": 3,
             "frontend_cache_misses": 0, "summary_cache_misses": 2,
+            "frontend_derived": 1, "definitions_relowered": 2,
         })
         snap = m.snapshot()
         json.dumps(snap)  # must never contain non-JSON values
@@ -94,7 +95,10 @@ class TestServerMetrics:
         assert snap["cache"]["frontend_hits"] == 1
         # the daemon persists no summaries: no summary counters
         assert set(snap["cache"]) == {
-            "frontend_hits", "frontend_misses", "integrity_evictions"}
+            "frontend_hits", "frontend_misses", "integrity_evictions",
+            "derived_programs", "relowered_definitions"}
+        assert snap["cache"]["derived_programs"] == 1
+        assert snap["cache"]["relowered_definitions"] == 2
         assert set(snap["latency"]["phases"]) == {"frontend", "valueflow"}
         assert snap["latency"]["request"]["count"] == 2
 

@@ -165,3 +165,23 @@ def test_closed_stdout_keeps_the_verdict_code(big_source, report,
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert stderr == ""
+
+
+@pytest.mark.parametrize("argv", [["table1"], ["corpus", "ip"], ["demo"],
+                                  ["gen", "--filler", "400"]])
+def test_every_command_survives_a_closed_stdout(argv):
+    """``safeflow CMD | head -1`` with unbuffered output: the pipe breaks
+    on an early write, and the command still exits with the code it has
+    without a broken pipe, and prints nothing to stderr."""
+    env = _env()
+    env["PYTHONUNBUFFERED"] = "1"
+    expected = run_cli(*argv).returncode
+    proc = subprocess.Popen([sys.executable, "-m", "repro.cli", *argv],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == expected
+    assert stderr == ""
